@@ -8,17 +8,14 @@ Subcommands
 ``check``         run the fast property suites
 
 Exit codes: 0 success, 2 malformed input, 3 engine/family mismatch,
-4 precondition failure, 5 internal invariant breach.  The environment
-variable ``ANYONSIM_THREADS`` caps sweep parallelism.
+4 precondition failure, 5 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +25,7 @@ from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
 from .optics import Circuit, bs, circuit_from_json_dict, run_circuit
 from .presets import PRESETS
-from .states import AnyonState, state_from_json_dict, wrap_phi
+from .states import AnyonState, max_amplitude_diff, occ_to_string, state_from_json_dict, wrap_phi
 from .transmute import transmute_state
 
 EXIT_OK = 0
@@ -72,13 +69,6 @@ def _load_state(args) -> AnyonState:
     return state_from_json_dict(_load_json(args.state))
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("ANYONSIM_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
-
-
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -108,11 +98,7 @@ def cmd_run(args) -> int:
     final = dense_out if dense_out is not None else fast_out
 
     if engine == "both":
-        keys = set(dense_out.amplitudes) | set(fast_out.amplitudes)
-        delta = max(
-            (abs(dense_out.amplitudes.get(k, 0.0) - fast_out.amplitudes.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
+        delta = max_amplitude_diff(dense_out.amplitudes, fast_out.amplitudes)
         print(f"max |dense - fastpath| = {delta:.3e}", file=sys.stderr)
         if delta > args.tol:
             raise InvariantBreachError(f"dense and fast-path amplitudes differ by {delta:.3e} > tol {args.tol:g}")
@@ -120,8 +106,6 @@ def cmd_run(args) -> int:
     out, close = _open_out(args.out)
     try:
         out.write("occ,re,im\n")
-        from .states import occ_to_string
-
         for occ in sorted(final.amplitudes, key=lambda k: occ_to_string(k, final.m)):
             amp = final.amplitudes[occ]
             out.write(f"{occ_to_string(occ, final.m)},{_fmt(amp.real)},{_fmt(amp.imag)}\n")
@@ -146,30 +130,28 @@ def cmd_entropy_scan(args) -> int:
     circuit_data = _load_json(args.circuit) if args.circuit is not None else None
     phis = _parse_grid(args.phi_grid)
     thetas = _parse_grid(args.theta_grid)
-    points = [(pi, pt, ti, tt) for pi, pt in enumerate(phis) for ti, tt in enumerate(thetas)]
-
-    def one(point):
-        _, phi, _, theta = point
-        sector = wrap_phi(float(phi))
+    rows = []
+    for phi in phis:
+        phi = float(phi)
+        sector = wrap_phi(phi)
         state = transmute_state(base, sector)
-        if circuit_data is not None:
-            circ = _bind_theta(circuit_data, float(theta), sector)
-        else:
-            circ = Circuit(state.m, sector, (bs(1, 2, float(theta)),))
-        evolved = run_circuit(state, circ)
-        s_x = von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))
-        s_y = von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))
-        report = is_separable(evolved, tol=args.tol)
-        rank = report.slater_rank if report.slater_rank is not None else -1
-        return (point[0], point[2], float(phi), float(theta), s_x, s_y, report.e_sp, rank)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = sorted(pool.map(one, points))
+        for theta in thetas:
+            theta = float(theta)
+            if circuit_data is not None:
+                circ = _bind_theta(circuit_data, theta, sector)
+            else:
+                circ = Circuit(state.m, sector, (bs(1, 2, theta),))
+            evolved = run_circuit(state, circ)
+            s_x = von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))
+            s_y = von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))
+            report = is_separable(evolved, tol=args.tol)
+            rank = report.slater_rank if report.slater_rank is not None else -1
+            rows.append((phi, theta, s_x, s_y, report.e_sp, rank))
 
     out, close = _open_out(args.out)
     try:
         out.write("phi,theta,S_x,S_y,E_SP,slater_rank\n")
-        for _, _, phi, theta, s_x, s_y, e_sp, rank in rows:
+        for phi, theta, s_x, s_y, e_sp, rank in rows:
             out.write(f"{_fmt(phi)},{_fmt(theta)},{_fmt(s_x)},{_fmt(s_y)},{_fmt(e_sp)},{rank}\n")
     finally:
         if close:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .states import AnyonState, apply_annihilate, inner_product
+from .states import AnyonState, apply_annihilate, inner_product, rotated_create
 from .transmute import fermionize
 
 _HERM_ATOL = 1e-10
@@ -355,16 +355,14 @@ def slater_decompose(state: AnyonState, rank_tol: float = 1e-8) -> SlaterDecompo
 
 def reconstruct_from_slater(dec: SlaterDecomposition, m: int) -> AnyonState:
     """Rebuild sum_k z_k g+_{2k-1} g+_{2k} |vac> in the fermionic sector."""
-    from .optics import _rotated_create
-
     total: dict[int, complex] = {}
     rot = dec.mode_unitary.conj()
     for k, zk in enumerate(dec.z):
         if zk <= 0.0:
             continue
         table = {0: complex(zk)}
-        table = _rotated_create(table, m, rot[2 * k + 1])
-        table = _rotated_create(table, m, rot[2 * k])
+        table = rotated_create(table, m, rot[2 * k + 1])
+        table = rotated_create(table, m, rot[2 * k])
         for occ, amp in table.items():
             total[occ] = total.get(occ, 0.0) + amp
     return AnyonState(m, 0.0, total)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FamilyMismatchError, InvariantBreachError, ParticleNumberMismatch
 from .optics import Circuit, GateElement
-from .states import AnyonState, occupied_modes, prune
+from .states import AnyonState, prune, same_sector
 
 _UNITARY_ATOL = 1e-10
 
@@ -52,27 +52,20 @@ class SingleParticleUnitary:
 
 
 def _gate_transfer(gate: GateElement, m: int) -> np.ndarray:
+    """Transfer matrix of a PS, BS or FSWAP that :func:`check_family` has admitted."""
     t = np.eye(m, dtype=complex)
     if gate.kind == "PS":
         t[gate.i - 1, gate.i - 1] = cmath.exp(1j * gate.theta)
         return t
+    a, b = gate.i - 1, gate.j - 1
     if gate.kind == "BS":
-        if abs(gate.i - gate.j) != 1:
-            raise FamilyMismatchError(
-                f"{gate.label()} is a distant beam splitter; only nearest-neighbour "
-                "beam splitters stay in the fast family"
-            )
-        a, b = gate.i - 1, gate.j - 1
         c, s = np.cos(gate.theta), np.sin(gate.theta)
         t[a, a] = t[b, b] = c
         t[a, b] = t[b, a] = 1j * s
-        return t
-    if gate.kind == "FSWAP":
-        a, b = gate.i - 1, gate.j - 1
+    else:
         t[a, a] = t[b, b] = 0.0
         t[a, b] = t[b, a] = 1.0
-        return t
-    raise FamilyMismatchError(f"{gate.label()} is not number-conserving")
+    return t
 
 
 def check_family(circuit: Circuit, allow_pa: bool = False) -> None:
@@ -103,6 +96,13 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     return SingleParticleUnitary(total)
 
 
+def _minor_det(u: SingleParticleUnitary, y: int, x: int) -> complex:
+    """Determinant of the transfer-matrix minor: rows occupied in y, columns occupied in x."""
+    rows = [k for k in range(u.m) if y >> k & 1]
+    cols = [k for k in range(u.m) if x >> k & 1]
+    return np.linalg.det(u.matrix[np.ix_(rows, cols)])
+
+
 def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> complex:
     """Matrix element <y|circuit|x> via the determinant of a submatrix.
 
@@ -119,10 +119,7 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
         return 0.0 + 0.0j
     if n_x == 0:
         return 1.0 + 0.0j
-    rows = [k - 1 for k in occupied_modes(y, u.m)]
-    cols = [k - 1 for k in occupied_modes(x, u.m)]
-    sub = u.matrix[np.ix_(rows, cols)]
-    return complex(np.linalg.det(sub))
+    return complex(_minor_det(u, y, x))
 
 
 def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dict[int, complex]:
@@ -138,11 +135,9 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             continue
         targets = [sum(1 << k for k in picks) for picks in combinations(range(m), n)]
         for z in targets:
-            rows = [k - 1 for k in occupied_modes(z, m)]
             total = 0.0 + 0.0j
             for w, amp in comps.items():
-                cols = [k - 1 for k in occupied_modes(w, m)]
-                total += amp * np.linalg.det(u.matrix[np.ix_(rows, cols)])
+                total += amp * _minor_det(u, z, w)
             if abs(total) > 0.0:
                 out[z] = out.get(z, 0.0) + complex(total)
     return out
@@ -192,7 +187,7 @@ def run_circuit_fastpath(state: AnyonState, circuit: Circuit) -> AnyonState:
     """
     if state.m != circuit.m:
         raise FamilyMismatchError(f"circuit is over {circuit.m} modes, state over {state.m}")
-    if abs(state.phi - circuit.phi) > 1e-12:
+    if not same_sector(state.phi, circuit.phi):
         raise FamilyMismatchError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
     check_family(circuit, allow_pa=True)
     evolved = _evolve_table(dict(state.amplitudes), circuit)

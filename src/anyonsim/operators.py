@@ -133,11 +133,6 @@ def number(m: int, i: int) -> OperatorExpr:
     return OperatorExpr(m, (LadderTerm(1.0 + 0.0j, ((i, CREATE), (i, ANNIHILATE))),))
 
 
-def diagonal_string(m: int, weights: Mapping[int, float]) -> OperatorExpr:
-    """The diagonal factor exp(i * sum_k weights[k] * n_k)."""
-    return OperatorExpr(m, (LadderTerm(1.0 + 0.0j, (), _clean_weights(weights)),))
-
-
 def hopping(m: int, i: int, j: int) -> OperatorExpr:
     """The Hermitian hop a+_i a_j + a+_j a_i."""
     return OperatorExpr(
@@ -176,15 +171,6 @@ def _apply_term_component(phi: float, occ: int, amp: complex, term: LadderTerm) 
         cur = step[0]
         a *= step[1]
     return cur, a
-
-
-def apply_term(state: AnyonState, term: LadderTerm) -> AnyonState:
-    out: dict[int, complex] = {}
-    for occ, amp in state.amplitudes.items():
-        res = _apply_term_component(state.phi, occ, amp, term)
-        if res is not None:
-            out[res[0]] = out.get(res[0], 0.0) + res[1]
-    return AnyonState(state.m, state.phi, prune(out))
 
 
 def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:

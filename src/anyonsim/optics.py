@@ -18,6 +18,7 @@ at phi != 0 the mapped action is the defining one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -36,7 +37,7 @@ from .operators import (
     operator_matrix,
     pair_source,
 )
-from .states import AnyonState, prune
+from .states import AnyonState, check_mode, prune, rotated_create, same_sector
 from .transmute import anyonize, fermionize
 
 GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
@@ -72,6 +73,8 @@ class GateElement:
                 raise PreconditionError(f"{self.kind} takes two modes and an angle")
             if self.j == self.i:
                 raise PreconditionError(f"{self.kind} needs two distinct modes")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise PreconditionError(f"{self.kind} angle must be finite, got {self.theta}")
 
     def modes(self) -> tuple[int, ...]:
         return (self.i,) if self.j is None else (self.i, self.j)
@@ -110,8 +113,7 @@ class Circuit:
     def __post_init__(self) -> None:
         for g in self.gates:
             for k in g.modes():
-                if k > self.m:
-                    raise PreconditionError(f"gate {g.label()} uses mode {k} > m={self.m}")
+                check_mode(self.m, k)
 
     def reversed_dagger(self) -> "Circuit":
         """The inverse circuit: reversed order, negated angles."""
@@ -135,21 +137,29 @@ def generator_expr(gate: GateElement, m: int) -> OperatorExpr:
     raise PreconditionError(f"{gate.kind} has no single generator form here")
 
 
-def _number_sector(m: int, n: int) -> list[int]:
-    return [sum(1 << (k) for k in picks) for picks in combinations(range(m), n)]
+def _occ_count(occ: int) -> int:
+    return occ.bit_count()
 
 
-def _parity_sector(m: int, p: int) -> list[int]:
-    return [occ for occ in range(1 << m) if occ.bit_count() % 2 == p]
+def _occ_parity(occ: int) -> int:
+    return occ.bit_count() % 2
+
+
+def _sector_basis(m: int, key: int, by_parity: bool) -> list[int]:
+    """Basis of a number sector (in combinations order) or a parity sector (ascending)."""
+    if by_parity:
+        return [occ for occ in range(1 << m) if occ.bit_count() % 2 == key]
+    return [sum(1 << k for k in picks) for picks in combinations(range(m), key)]
 
 
 def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) -> AnyonState:
+    """exp(i * expr) on each sector the state touches; ``sector_of`` is _occ_count or _occ_parity."""
     groups: dict[int, dict[int, complex]] = {}
     for occ, amp in state.amplitudes.items():
         groups.setdefault(sector_of(occ), {})[occ] = amp
     out: dict[int, complex] = {}
     for key, comps in groups.items():
-        basis = _sector_basis_cache(state.m, sector_of, key)
+        basis = _sector_basis(state.m, key, sector_of is _occ_parity)
         h = operator_matrix(expr, state.phi, basis)
         if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
             raise InvariantBreachError("gate generator is not Hermitian on its sector")
@@ -165,26 +175,10 @@ def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) 
     return AnyonState(state.m, state.phi, prune(out))
 
 
-def _sector_basis_cache(m: int, sector_of, key: int) -> list[int]:
-    # sector_of is one of the two module-level sector functions; rebuild cheaply
-    if sector_of is _occ_count:
-        return _number_sector(m, key)
-    return _parity_sector(m, key)
-
-
-def _occ_count(occ: int) -> int:
-    return occ.bit_count()
-
-
-def _occ_parity(occ: int) -> int:
-    return occ.bit_count() % 2
-
-
 def apply_gate(state: AnyonState, gate: GateElement) -> AnyonState:
     """Exact unitary action of one optical element on a state."""
     for k in gate.modes():
-        if k > state.m:
-            raise PreconditionError(f"gate {gate.label()} uses mode {k} > m={state.m}")
+        check_mode(state.m, k)
     if gate.kind == "FSWAP":
         return apply_fswap(state, gate.i, gate.j)
     expr = generator_expr(gate, state.m)
@@ -201,9 +195,8 @@ def apply_fswap(state: AnyonState, i: int, j: int) -> AnyonState:
     """
     if i == j:
         raise PreconditionError("FSWAP needs two distinct modes")
-    for k in (i, j):
-        if not 1 <= k <= state.m:
-            raise PreconditionError(f"mode index {k} out of range 1..{state.m}")
+    check_mode(state.m, i)
+    check_mode(state.m, j)
     lo, hi = min(i, j), max(i, j)
     bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
     between = ((1 << (hi - 1)) - 1) ^ ((1 << lo) - 1)
@@ -223,7 +216,7 @@ def run_circuit(state: AnyonState, circuit: Circuit) -> AnyonState:
     """Left-to-right application of a circuit (first listed gate acts first)."""
     if state.m != circuit.m:
         raise PreconditionError(f"circuit is over {circuit.m} modes, state over {state.m}")
-    if abs(state.phi - circuit.phi) > 1e-12:
+    if not same_sector(state.phi, circuit.phi):
         raise PreconditionError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
     for gate in circuit.gates:
         state = apply_gate(state, gate)
@@ -286,12 +279,9 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
 def circuit_from_json_dict(data: dict) -> Circuit:
     gates = []
     for entry in data["gates"]:
-        kind = entry["kind"]
-        if kind not in GATE_KINDS:
-            raise PreconditionError(f"unknown gate kind {kind!r}")
         gates.append(
             GateElement(
-                kind,
+                entry["kind"],
                 int(entry["i"]),
                 int(entry["j"]) if "j" in entry and entry["j"] is not None else None,
                 float(entry["theta"]) if "theta" in entry and entry["theta"] is not None else None,
@@ -371,24 +361,6 @@ def _quadratic_expr(m: int, a: np.ndarray, b: np.ndarray) -> OperatorExpr:
     return OperatorExpr(m, tuple(terms))
 
 
-def _rotated_create(table: dict[int, complex], m: int, row: np.ndarray) -> dict[int, complex]:
-    """Apply sum_j row[j] * a+_{j+1} (fermionic sector) to an amplitude table."""
-    from .states import create_component
-
-    out: dict[int, complex] = {}
-    for occ, amp in table.items():
-        for jj in range(m):
-            c = row[jj]
-            if abs(c) <= 1e-16:
-                continue
-            step = create_component(0.0, occ, jj + 1)
-            if step is None:
-                continue
-            occ2, phase = step
-            out[occ2] = out.get(occ2, 0.0) + amp * c * phase
-    return out
-
-
 def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonState:
     """Apply the sector-conjugated canonical transformation to a state.
 
@@ -406,7 +378,7 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
         for occ, amp in psi.amplitudes.items():
             table = {0: amp}
             for mode in reversed([k + 1 for k in range(state.m) if occ >> k & 1]):
-                table = _rotated_create(table, state.m, pair.u[mode - 1])
+                table = rotated_create(table, state.m, pair.u[mode - 1])
             for occ2, a2 in table.items():
                 out[occ2] = out.get(occ2, 0.0) + a2
         result = AnyonState(state.m, 0.0, prune(out))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
 
@@ -75,11 +75,6 @@ def occ_from_bits(bits: Iterable[int]) -> int:
     return occ
 
 
-def occupations(occ: int, m: int) -> tuple[int, ...]:
-    """Per-mode occupations of a bitmask, mode 1 first."""
-    return tuple(occ >> i & 1 for i in range(m))
-
-
 def occupied_modes(occ: int, m: int) -> tuple[int, ...]:
     """1-based indices of occupied modes, increasing."""
     return tuple(i for i in range(1, m + 1) if occ >> (i - 1) & 1)
@@ -97,7 +92,17 @@ def reorder_phase(phi: float, crossings: int) -> complex:
     return ((-1.0) ** crossings) * cmath.exp(1j * _REORDER_SIGN * phi * crossings)
 
 
-def _check_mode(m: int, i: int) -> None:
+def same_sector(phi_a: float, phi_b: float) -> bool:
+    """Whether two statistics parameters lie within 1e-12 of each other on the circle.
+
+    The sectors are 2*pi-periodic, so 2*pi - eps and 0 name the same sector.
+    """
+    d = abs(phi_a - phi_b) % TWO_PI
+    return min(d, TWO_PI - d) <= 1e-12
+
+
+def check_mode(m: int, i: int) -> None:
+    """Raise PreconditionError unless mode index i lies in 1..m."""
     if not 1 <= i <= m:
         raise PreconditionError(f"mode index {i} out of range 1..{m}")
 
@@ -201,9 +206,25 @@ def annihilate_component(phi: float, occ: int, i: int) -> tuple[int, complex] | 
     return occ ^ bit, reorder_phase(phi, n_left(occ, i)).conjugate()
 
 
+def rotated_create(table: Mapping[int, complex], m: int, row: Sequence[complex]) -> dict[int, complex]:
+    """Apply sum_j row[j] * a+_{j+1} (fermionic sector) to an amplitude table."""
+    out: dict[int, complex] = {}
+    for occ, amp in table.items():
+        for jj in range(m):
+            c = row[jj]
+            if abs(c) <= 1e-16:
+                continue
+            step = create_component(0.0, occ, jj + 1)
+            if step is None:
+                continue
+            occ2, phase = step
+            out[occ2] = out.get(occ2, 0.0) + amp * c * phase
+    return out
+
+
 def apply_create(state: AnyonState, i: int) -> AnyonState:
     """Apply the creation operator for mode i; occupied components vanish."""
-    _check_mode(state.m, i)
+    check_mode(state.m, i)
     out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
         res = create_component(state.phi, occ, i)
@@ -214,7 +235,7 @@ def apply_create(state: AnyonState, i: int) -> AnyonState:
 
 def apply_annihilate(state: AnyonState, i: int) -> AnyonState:
     """Apply the annihilation operator for mode i; empty components vanish."""
-    _check_mode(state.m, i)
+    check_mode(state.m, i)
     out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
         res = annihilate_component(state.phi, occ, i)
@@ -225,7 +246,7 @@ def apply_annihilate(state: AnyonState, i: int) -> AnyonState:
 
 def apply_number(state: AnyonState, i: int) -> AnyonState:
     """Apply the number operator for mode i (keeps occupied components only)."""
-    _check_mode(state.m, i)
+    check_mode(state.m, i)
     bit = 1 << (i - 1)
     return AnyonState(state.m, state.phi, {occ: amp for occ, amp in state.amplitudes.items() if occ & bit})
 
@@ -234,7 +255,7 @@ def inner_product(a: AnyonState, b: AnyonState) -> complex:
     """Hermitian inner product <a|b>; both states must share m and phi."""
     if a.m != b.m:
         raise PreconditionError(f"mode counts differ: {a.m} vs {b.m}")
-    if abs(a.phi - b.phi) > 1e-12:
+    if not same_sector(a.phi, b.phi):
         raise PreconditionError(f"statistics sectors differ: phi={a.phi} vs {b.phi}")
     small, large = (a.amplitudes, b.amplitudes) if len(a.amplitudes) <= len(b.amplitudes) else (b.amplitudes, a.amplitudes)
     total = 0.0 + 0.0j
@@ -244,18 +265,10 @@ def inner_product(a: AnyonState, b: AnyonState) -> complex:
     return total
 
 
-def add_states(a: AnyonState, b: AnyonState) -> AnyonState:
-    """Componentwise sum (same m and phi required)."""
-    if a.m != b.m or abs(a.phi - b.phi) > 1e-12:
-        raise PreconditionError("cannot add states from different spaces")
-    out = dict(a.amplitudes)
-    for occ, amp in b.amplitudes.items():
-        out[occ] = out.get(occ, 0.0) + amp
-    return AnyonState(a.m, a.phi, prune(out))
-
-
-def scale_state(state: AnyonState, c: complex) -> AnyonState:
-    return AnyonState(state.m, state.phi, prune({occ: c * amp for occ, amp in state.amplitudes.items()}))
+def max_amplitude_diff(a: Mapping[int, complex], b: Mapping[int, complex]) -> float:
+    """Largest componentwise |a - b| over two amplitude tables (0 for two empty tables)."""
+    keys = set(a) | set(b)
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def state_to_json_dict(state: AnyonState) -> dict:
@@ -278,5 +291,8 @@ def state_from_json_dict(data: dict) -> AnyonState:
         occ = occ_from_string(entry["occ"])
         if len(entry["occ"]) != m:
             raise PreconditionError(f"occupation {entry['occ']!r} does not have {m} modes")
-        table[occ] = table.get(occ, 0.0) + complex(float(entry["re"]), float(entry["im"]))
+        amp = complex(float(entry["re"]), float(entry["im"]))
+        if not cmath.isfinite(amp):
+            raise PreconditionError(f"amplitude of {entry['occ']!r} is not finite: {amp}")
+        table[occ] = table.get(occ, 0.0) + amp
     return AnyonState(m, phi, table)

@@ -45,9 +45,6 @@ class TransmutationMap:
     def inverse(self) -> "TransmutationMap":
         return TransmutationMap(self.phi_target, self.phi_source)
 
-    def is_identity(self) -> bool:
-        return self.phi_source == self.phi_target
-
 
 def _factor_image(mode: int, kind: str, delta: float) -> LadderTerm:
     weights = {k: _TRANSMUTE_SIGN * delta for k in range(1, mode)}

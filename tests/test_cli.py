@@ -2,12 +2,16 @@ import json
 import math
 
 import numpy as np
+import pytest
+
+import anyonsim.cli as cli_mod
 import anyonsim.states as states_mod
 from anyonsim.checks import check_exchange_relations
 from anyonsim.cli import main
-from anyonsim.optics import Circuit, bs, circuit_to_json_dict, pa
+from anyonsim.entanglement import is_separable, particle_trace_rdm, von_neumann_entropy
+from anyonsim.optics import Circuit, bs, circuit_to_json_dict, pa, ps, run_circuit
 from anyonsim.presets import split_pair
-from anyonsim.states import state_to_json_dict
+from anyonsim.states import state_to_json_dict, wrap_phi
 
 
 def write_json(path, data):
@@ -156,3 +160,69 @@ def test_check_catches_reorder_sign_flip(monkeypatch):
     result = check_exchange_relations(m_values=(2, 3), phi_values=(0.9, 2.2))
     assert not result.passed
     assert result.max_error > 1e-3
+
+
+@pytest.mark.parametrize("engine", ["dense", "fastpath"])
+def test_run_nan_angle_exits_4(tmp_path, capsys, engine):
+    circ = write_json(
+        tmp_path / "c.json",
+        {"m": 4, "phi": 0.0, "gates": [{"kind": "BS", "i": 1, "j": 2, "theta": float("nan")}]},
+    )
+    out = tmp_path / "amps.csv"
+    code = main(["run", "--preset", "split-pair", "--circuit", circ, "--engine", engine, "--out", str(out)])
+    assert code == 4
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_infinite_amplitude_exits_4(tmp_path, capsys):
+    state = write_json(
+        tmp_path / "s.json",
+        {"m": 2, "phi": 0.0, "amplitudes": [{"occ": "10", "re": float("inf"), "im": 0.0}]},
+    )
+    assert main(["run", "--state", state]) == 4
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_entropy_scan_binds_only_null_angles(tmp_path, monkeypatch):
+    # the null-theta BS takes the sweep angle; the PS keeps its own
+    circ = write_json(
+        tmp_path / "c.json",
+        {"m": 4, "phi": 0.0, "gates": [{"kind": "BS", "i": 1, "j": 2, "theta": None}, {"kind": "PS", "i": 2, "theta": 0.5}]},
+    )
+    seen = []
+
+    def spy(state, circuit):
+        seen.append(circuit)
+        return run_circuit(state, circuit)
+
+    monkeypatch.setattr(cli_mod, "run_circuit", spy)
+    out = tmp_path / "scan.csv"
+    code = main([
+        "entropy-scan",
+        "--preset", "split-pair",
+        "--circuit", circ,
+        "--phi-grid", "0:6.283185307179586:3",
+        "--theta-grid", "0:1.5:3",
+        "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = read_csv(out)
+    points = [(phi, theta) for phi in np.linspace(0.0, 2 * math.pi, 3) for theta in np.linspace(0.0, 1.5, 3)]
+    assert len(rows) == len(seen) == len(points)
+    fmt = "{:.12g}".format
+    for row, circuit, (phi, theta) in zip(rows, seen, points):
+        assert row[:2] == [fmt(phi), fmt(theta)]
+        sector = wrap_phi(phi)
+        assert circuit == Circuit(4, sector, (bs(1, 2, theta), ps(2, 0.5)))
+        evolved = run_circuit(split_pair(sector), circuit)
+        report = is_separable(evolved, tol=1e-8)
+        expected = [
+            fmt(von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))),
+            fmt(von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))),
+            fmt(report.e_sp),
+            str(report.slater_rank),
+        ]
+        assert row[2:] == expected

@@ -293,3 +293,16 @@ def test_bogoliubov_pairing_requires_generator():
     stripped = BogoliubovPair(built.u, built.v)
     with pytest.raises(PreconditionError):
         apply_induced_bogoliubov(vacuum(2), stripped)
+
+
+def test_sector_comparison_is_circular():
+    # 2*pi - 1e-13 and 0 tag the same sector on both engines
+    from anyonsim import run_circuit_fastpath
+    from anyonsim.states import inner_product, wrap_phi
+
+    psi = basis_state("1100", wrap_phi(-1e-13))
+    circuit = Circuit(4, 0.0, (bs(1, 2, 0.3),))
+    ref = run_circuit(basis_state("1100", 0.0), circuit)
+    assert table_diff(run_circuit(psi, circuit), ref) < 1e-12
+    assert table_diff(run_circuit_fastpath(psi, circuit), ref) < 1e-12
+    assert abs(inner_product(psi, basis_state("1100", 0.0)) - 1.0) < 1e-15
