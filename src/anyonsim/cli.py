@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -69,6 +70,11 @@ def _load_state(args) -> AnyonState:
     return state_from_json_dict(_load_json(args.state))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"--tol must be finite and >= 0, got {tol}")
+
+
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -76,6 +82,7 @@ def _open_out(path: str | None):
 
 
 def cmd_run(args) -> int:
+    _check_tol(args.tol)
     state = _load_state(args)
     if args.circuit is not None:
         circuit = circuit_from_json_dict(_load_json(args.circuit))
@@ -126,6 +133,7 @@ def _bind_theta(circuit_data: dict, theta: float, phi: float) -> Circuit:
 
 
 def cmd_entropy_scan(args) -> int:
+    _check_tol(args.tol)
     base = _load_state(args)
     circuit_data = _load_json(args.circuit) if args.circuit is not None else None
     phis = _parse_grid(args.phi_grid)

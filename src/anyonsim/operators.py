@@ -186,6 +186,32 @@ def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     return AnyonState(state.m, state.phi, prune(out))
 
 
+def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int]]:
+    """The orbits of ``kets`` under the terms of ``expr``, in order of first reach.
+
+    An orbit is every ket that a starting ket reaches by repeated action of
+    the terms; a ket that an earlier orbit already holds starts none.  The
+    union of the orbits is closed under ``expr``, so :func:`operator_matrix`
+    on their concatenation is block-diagonal (for a Hermitian ``expr``),
+    one block per orbit.
+    """
+    seen: set[int] = set()
+    out: list[list[int]] = []
+    for start in kets:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for occ in orbit:  # the orbit grows while it is walked
+            for term in expr.terms:
+                res = _apply_term_component(phi, occ, 1.0 + 0.0j, term)
+                if res is not None and res[0] not in seen:
+                    seen.add(res[0])
+                    orbit.append(res[0])
+        out.append(orbit)
+    return out
+
+
 def operator_matrix(expr: OperatorExpr, phi: float, basis: Iterable[int]) -> "np.ndarray":
     """Dense matrix of ``expr`` on an ordered basis of occupation bitmasks.
 

@@ -4,10 +4,15 @@ Gate semantics
 --------------
 ``PS(i, theta)``, ``BS(i, j, theta)`` and ``PA(i, j, theta)`` are the
 exponentials of their quadratic generators *in the algebra of the state
-they act on*; evolution is computed by a dense matrix exponential of the
-generator restricted to the invariant sector (fixed particle number for
-PS/BS, fixed parity for PA).  Closed-form actions are used only as test
-oracles.
+they act on*; evolution is computed as the exponential of the generator on
+the orbits of the state's kets.  An orbit is the set of kets one ket
+reaches by repeated action of the generator's terms, so the span of the
+orbits is invariant and the generator is block-diagonal on it.  A single
+gate couples each ket to at most one partner (blocks of size 1 or 2); an
+induced Bogoliubov generator gives larger blocks.  Each block is
+exponentiated densely from the native matrix elements.  The whole-sector
+exponential (:func:`_apply_sector_exponential`) and closed-form actions are
+used only as test oracles.
 
 ``FSWAP(i, j)`` is the statistics-mapped image of the fermionic mode swap:
 it acts on the amplitude table exactly as the fermionic closed form
@@ -35,14 +40,15 @@ from .operators import (
     hopping,
     number,
     operator_matrix,
+    orbits,
     pair_source,
 )
-from .states import AnyonState, check_mode, prune, rotated_create, same_sector
+from .states import NORM_ATOL, AnyonState, check_mode, prune, rotated_create, same_sector
 from .transmute import anyonize, fermionize
 
 GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
 
-#: dense sector exponentials check Hermiticity of the generator to this
+#: gate exponentials check Hermiticity of the generator to this
 _HERM_ATOL = 1e-12
 
 
@@ -153,7 +159,10 @@ def _sector_basis(m: int, key: int, by_parity: bool) -> list[int]:
 
 
 def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) -> AnyonState:
-    """exp(i * expr) on each sector the state touches; ``sector_of`` is _occ_count or _occ_parity."""
+    """exp(i * expr) on each whole sector the state touches; ``sector_of`` is _occ_count or _occ_parity.
+
+    The test oracle for :func:`_apply_orbit_exponential`; no gate calls it.
+    """
     groups: dict[int, dict[int, complex]] = {}
     for occ, amp in state.amplitudes.items():
         groups.setdefault(sector_of(occ), {})[occ] = amp
@@ -175,15 +184,38 @@ def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) 
     return AnyonState(state.m, state.phi, prune(out))
 
 
+def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonState:
+    """exp(i * expr) on the orbits of the state's kets under ``expr``.
+
+    The generator matrix is built once on the concatenated orbits; its
+    diagonal blocks are stacked by orbit size and each stack exponentiated
+    in one call.  Hermiticity is checked on the whole matrix, which also
+    bounds every entry outside the blocks by ``_HERM_ATOL``.
+    """
+    if not state.amplitudes:
+        return state
+    orbs = orbits(expr, state.phi, state.amplitudes)
+    basis = [occ for orbit in orbs for occ in orbit]
+    h = operator_matrix(expr, state.phi, basis)
+    if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
+        raise InvariantBreachError("gate generator is not Hermitian on its orbits")
+    vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
+    sizes = np.array([len(orbit) for orbit in orbs])
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        idx = starts[sizes == size, None] + np.arange(size)  # (orbits, size) positions in basis
+        u = expm(1j * h[idx[:, :, None], idx[:, None, :]])
+        vec[idx] = np.einsum("kab,kb->ka", u, vec[idx])
+    return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
+
+
 def apply_gate(state: AnyonState, gate: GateElement) -> AnyonState:
     """Exact unitary action of one optical element on a state."""
     for k in gate.modes():
         check_mode(state.m, k)
     if gate.kind == "FSWAP":
         return apply_fswap(state, gate.i, gate.j)
-    expr = generator_expr(gate, state.m)
-    sector = _occ_parity if gate.kind == "PA" else _occ_count
-    return _apply_sector_exponential(state, expr, sector)
+    return _apply_orbit_exponential(state, generator_expr(gate, state.m))
 
 
 def apply_fswap(state: AnyonState, i: int, j: int) -> AnyonState:
@@ -213,13 +245,21 @@ def apply_fswap(state: AnyonState, i: int, j: int) -> AnyonState:
 
 
 def run_circuit(state: AnyonState, circuit: Circuit) -> AnyonState:
-    """Left-to-right application of a circuit (first listed gate acts first)."""
+    """Left-to-right application of a circuit (first listed gate acts first).
+
+    Raises InvariantBreachError if the squared norm moves by more than
+    ``NORM_ATOL * max(1, |in|^2)``: every gate is unitary.
+    """
     if state.m != circuit.m:
         raise PreconditionError(f"circuit is over {circuit.m} modes, state over {state.m}")
     if not same_sector(state.phi, circuit.phi):
         raise PreconditionError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
+    norm_in = state.norm() ** 2
     for gate in circuit.gates:
         state = apply_gate(state, gate)
+    drift = abs(state.norm() ** 2 - norm_in)
+    if not drift <= NORM_ATOL * max(1.0, norm_in):
+        raise InvariantBreachError(f"circuit changed the squared norm by {drift:.3e}")
     return state
 
 
@@ -366,8 +406,8 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
 
     Implemented as fermionize -> fermionic action -> map back.  For V = 0
     each basis component's creation string is expanded through U directly;
-    otherwise the dense exponential of the stored generator acts on the
-    parity sectors.
+    otherwise the exponential of the stored generator acts on the orbits of
+    the state's kets.
     """
     pair.validate()
     if pair.mode_count() != state.m:
@@ -386,5 +426,5 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
         if pair.generator is None:
             raise PreconditionError("pairing transformations must carry their quadratic generator")
         expr = _quadratic_expr(state.m, *pair.generator)
-        result = _apply_sector_exponential(psi, expr, _occ_parity)
+        result = _apply_orbit_exponential(psi, expr)
     return anyonize(result, state.phi)

@@ -284,8 +284,9 @@ def state_to_json_dict(state: AnyonState) -> dict:
 
 
 def state_from_json_dict(data: dict) -> AnyonState:
+    """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as the CLI's ``--phi`` is."""
     m = int(data["m"])
-    phi = float(data["phi"])
+    phi = wrap_phi(float(data["phi"]))
     table: dict[int, complex] = {}
     for entry in data["amplitudes"]:
         occ = occ_from_string(entry["occ"])

@@ -226,3 +226,43 @@ def test_entropy_scan_binds_only_null_angles(tmp_path, monkeypatch):
             str(report.slater_rank),
         ]
         assert row[2:] == expected
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [["run", "--engine", "both"], ["entropy-scan", "--phi-grid", "0:1:2", "--theta-grid", "0:1:2"]])
+def test_bad_tol_exits_4(tmp_path, capsys, command, tol):
+    out = tmp_path / "out.csv"
+    assert main([*command, "--preset", "split-pair", "--tol", tol, "--out", str(out)]) == 4
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_state_file_phi_is_wrapped_like_preset_phi(tmp_path):
+    circ = write_json(tmp_path / "c.json", circuit_to_json_dict(Circuit(4, wrap_phi(7.0), (bs(1, 2, 0.9), pa(1, 2, 0.4)))))
+    data = state_to_json_dict(split_pair(0.0))
+    data["phi"] = 7.0
+    state = write_json(tmp_path / "s.json", data)
+    from_file, from_preset = tmp_path / "file.csv", tmp_path / "preset.csv"
+    assert main(["run", "--state", state, "--circuit", circ, "--out", str(from_file)]) == 0
+    assert main(["run", "--preset", "split-pair", "--phi", "7", "--circuit", circ, "--out", str(from_preset)]) == 0
+    assert from_file.read_bytes() == from_preset.read_bytes()
+
+
+@pytest.mark.parametrize("phi", [float("nan"), float("inf")])
+def test_state_file_non_finite_phi_exits_4(tmp_path, capsys, phi):
+    data = state_to_json_dict(split_pair(0.0))
+    data["phi"] = phi
+    state = write_json(tmp_path / "s.json", data)
+    assert main(["run", "--state", state]) == 4
+
+
+def test_norm_drift_exits_5(tmp_path, capsys, monkeypatch):
+    import anyonsim.optics as optics_mod
+
+    real_expm = optics_mod.expm
+    monkeypatch.setattr(optics_mod, "expm", lambda a: 1.01 * real_expm(a))
+    circ = write_json(tmp_path / "c.json", circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.9),))))
+    out = tmp_path / "amps.csv"
+    assert main(["run", "--preset", "split-pair", "--circuit", circ, "--out", str(out)]) == 5
+    assert "norm" in capsys.readouterr().err
+    assert not out.exists()
