@@ -9,6 +9,11 @@ input one (both in increasing mode order, matching the basis convention of
 family is invariant under statistics transmutation, the same numbers are
 the amplitudes in every phi sector.
 
+Minors are evaluated as stacked determinants, per compiled segment and
+particle number: for each input configuration the transfer-matrix columns
+are picked once, and the target row sets stream from ``combinations`` in
+chunks, each chunk one ``np.linalg.det`` call on a ``(k, N, N)`` stack.
+
 ``PA(1, 2)`` is also admitted: its action is dense but strictly local to
 the two lowest modes (they have no modes to their left), so evolution
 composes determinant blocks with a 2 x 2 rotation on the {empty, doubly
@@ -21,15 +26,17 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import FamilyMismatchError, InvariantBreachError, ParticleNumberMismatch
 from .optics import Circuit, GateElement
-from .states import AnyonState, prune, same_sector
+from .states import AnyonState, check_norm_kept, prune, same_sector
 
 _UNITARY_ATOL = 1e-10
+#: target row sets per stacked determinant call in :func:`_evolve_nc_block`
+_DET_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,9 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     return SingleParticleUnitary(total)
 
 
-def _minor_det(u: SingleParticleUnitary, y: int, x: int) -> complex:
-    """Determinant of the transfer-matrix minor: rows occupied in y, columns occupied in x."""
-    rows = [k for k in range(u.m) if y >> k & 1]
-    cols = [k for k in range(u.m) if x >> k & 1]
-    return np.linalg.det(u.matrix[np.ix_(rows, cols)])
+def _occupied(occ: int, m: int) -> list[int]:
+    """Occupied modes of a configuration, 0-based and increasing: a minor's row or column order."""
+    return [k for k in range(m) if occ >> k & 1]
 
 
 def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> complex:
@@ -119,11 +124,17 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
         return 0.0 + 0.0j
     if n_x == 0:
         return 1.0 + 0.0j
-    return complex(_minor_det(u, y, x))
+    return complex(np.linalg.det(u.matrix[:, _occupied(x, u.m)][_occupied(y, u.m)]))
 
 
 def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dict[int, complex]:
+    """Apply a compiled segment to every particle-number sector of a table.
+
+    Each target's amplitude accumulates over the inputs in table order.
+    Output bitmasks are summed as Python ints, so any ``m`` works.
+    """
     m = u.m
+    bits = np.array([1 << k for k in range(m)], dtype=object)
     out: dict[int, complex] = {}
     by_n: dict[int, dict[int, complex]] = {}
     for occ, amp in table.items():
@@ -133,13 +144,20 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             for occ, amp in comps.items():
                 out[occ] = out.get(occ, 0.0) + amp
             continue
-        targets = [sum(1 << k for k in picks) for picks in combinations(range(m), n)]
-        for z in targets:
-            total = 0.0 + 0.0j
-            for w, amp in comps.items():
-                total += amp * _minor_det(u, z, w)
-            if abs(total) > 0.0:
-                out[z] = out.get(z, 0.0) + complex(total)
+        inputs = [(amp, u.matrix[:, _occupied(w, m)]) for w, amp in comps.items()]
+        targets = chain.from_iterable(combinations(range(m), n))
+        while (flat := np.fromiter(islice(targets, _DET_CHUNK * n), dtype=np.intp)).size:
+            rows = flat.reshape(-1, n)
+            totals = np.zeros(len(rows), dtype=complex)
+            for amp, sub in inputs:
+                d = np.linalg.det(sub[rows])
+                # real arithmetic rounds each product as a scalar complex
+                # multiply does; numpy's vector complex multiply may not
+                totals.real += amp.real * d.real - amp.imag * d.imag
+                totals.imag += amp.real * d.imag + amp.imag * d.real
+            # exact zeros and NaN are dropped
+            keep = np.abs(totals) > 0.0
+            out.update(zip(bits[rows[keep]].sum(axis=1).tolist(), totals[keep].tolist()))
     return out
 
 
@@ -183,15 +201,17 @@ def run_circuit_fastpath(state: AnyonState, circuit: Circuit) -> AnyonState:
     """Evolve a state through an in-family circuit without dense exponentials.
 
     The computation happens on the sector-invariant amplitude table, so the
-    result is exact for every phi.
+    result is exact for every phi.  Raises InvariantBreachError if the
+    squared norm moves, by the rule of :func:`~anyonsim.states.check_norm_kept`.
     """
     if state.m != circuit.m:
         raise FamilyMismatchError(f"circuit is over {circuit.m} modes, state over {state.m}")
     if not same_sector(state.phi, circuit.phi):
         raise FamilyMismatchError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
     check_family(circuit, allow_pa=True)
-    evolved = _evolve_table(dict(state.amplitudes), circuit)
-    return AnyonState(state.m, state.phi, evolved)
+    evolved = AnyonState(state.m, state.phi, _evolve_table(dict(state.amplitudes), circuit))
+    check_norm_kept(state, evolved)
+    return evolved
 
 
 def anyonic_amplitude_via_fastpath(circuit: Circuit, x: int, y: int) -> complex:

@@ -24,7 +24,7 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantBreachError, PreconditionError
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -153,6 +153,17 @@ class AnyonState:
         if len(counts) == 1:
             return counts.pop()
         return None
+
+
+def check_norm_kept(before: AnyonState, after: AnyonState) -> None:
+    """Raise InvariantBreachError if a unitary evolution moved the squared norm.
+
+    The allowed drift is ``NORM_ATOL * max(1, |before|^2)``; a NaN drift fails.
+    """
+    norm_in = before.norm() ** 2
+    drift = abs(after.norm() ** 2 - norm_in)
+    if not drift <= NORM_ATOL * max(1.0, norm_in):
+        raise InvariantBreachError(f"circuit changed the squared norm by {drift:.3e}")
 
 
 def vacuum(m: int, phi: float = 0.0) -> AnyonState:

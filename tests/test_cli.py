@@ -266,3 +266,17 @@ def test_norm_drift_exits_5(tmp_path, capsys, monkeypatch):
     assert main(["run", "--preset", "split-pair", "--circuit", circ, "--out", str(out)]) == 5
     assert "norm" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fastpath_norm_drift_exits_5(tmp_path, capsys, monkeypatch):
+    import anyonsim.fastpath as fastpath_mod
+
+    real_block = fastpath_mod._evolve_nc_block
+    monkeypatch.setattr(
+        fastpath_mod, "_evolve_nc_block", lambda table, u: {k: 1.01 * v for k, v in real_block(table, u).items()}
+    )
+    circ = write_json(tmp_path / "c.json", circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.9),))))
+    out = tmp_path / "amps.csv"
+    assert main(["run", "--preset", "split-pair", "--circuit", circ, "--engine", "fastpath", "--out", str(out)]) == 5
+    assert "norm" in capsys.readouterr().err
+    assert not out.exists()

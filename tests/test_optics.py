@@ -306,3 +306,21 @@ def test_sector_comparison_is_circular():
     assert table_diff(run_circuit(psi, circuit), ref) < 1e-12
     assert table_diff(run_circuit_fastpath(psi, circuit), ref) < 1e-12
     assert abs(inner_product(psi, basis_state("1100", 0.0)) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bogoliubov_non_finite_rotation_rejected(bad):
+    u = np.eye(3, dtype=complex)
+    u[0, 0] = bad
+    with pytest.raises(PreconditionError, match="finite"):
+        apply_induced_bogoliubov(AnyonState(3, 0.7, {0b011: 1.0}), BogoliubovPair.from_rotation(u))
+
+
+@pytest.mark.parametrize("block", ["hopping", "pairing"])
+def test_bogoliubov_non_finite_generator_rejected(block):
+    a = np.zeros((3, 3), dtype=complex)
+    b = np.zeros((3, 3), dtype=complex)
+    target = a if block == "hopping" else b
+    target[0, 1] = target[1, 0] = np.nan
+    with pytest.raises(PreconditionError, match="finite"):
+        BogoliubovPair.from_generator(a, b)
