@@ -14,14 +14,22 @@ Exit codes: 0 success, 2 malformed input, 3 engine/family mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from operator import itemgetter
 
 import numpy as np
 
 from .checks import run_all
-from .entanglement import is_separable, particle_trace_rdm, slater_decompose, von_neumann_entropy
+from .entanglement import (
+    SeparabilityReport,
+    is_separable,
+    particle_trace_rdm,
+    slater_decompose,
+    von_neumann_entropy,
+)
 from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
 from .optics import Circuit, bs, circuit_from_json_dict, run_circuit
@@ -110,12 +118,12 @@ def cmd_run(args) -> int:
         if delta > args.tol:
             raise InvariantBreachError(f"dense and fast-path amplitudes differ by {delta:.3e} > tol {args.tol:g}")
 
+    rows = sorted(((occ_to_string(occ, final.m), amp) for occ, amp in final.amplitudes.items()), key=itemgetter(0))
     out, close = _open_out(args.out)
     try:
         out.write("occ,re,im\n")
-        for occ in sorted(final.amplitudes, key=lambda k: occ_to_string(k, final.m)):
-            amp = final.amplitudes[occ]
-            out.write(f"{occ_to_string(occ, final.m)},{_fmt(amp.real)},{_fmt(amp.imag)}\n")
+        for occ, amp in rows:
+            out.write(f"{occ},{_fmt(amp.real)},{_fmt(amp.imag)}\n")
     finally:
         if close:
             out.close()
@@ -132,12 +140,29 @@ def _bind_theta(circuit_data: dict, theta: float, phi: float) -> Circuit:
     return circuit_from_json_dict({"m": circuit_data["m"], "phi": phi, "gates": gates})
 
 
+def _table_key(state: AnyonState) -> tuple[tuple[int, ...], bytes]:
+    """The occupations in table order and the raw bytes of the amplitudes.
+
+    Equal keys mean bit-identical tables (-0.0 and 0.0 differ), so any
+    function of the table alone gives the same result on both.
+    """
+    return tuple(state.amplitudes), np.array(list(state.amplitudes.values()), dtype=complex).tobytes()
+
+
 def cmd_entropy_scan(args) -> int:
+    """One row per (phi, theta) grid point, each evolved through its own circuit.
+
+    The separability report depends only on the mode count, the amplitude
+    table and ``--tol``, so points whose evolved tables are bit-identical
+    share one :func:`is_separable` call; the particle traces depend on phi
+    and run at every point.
+    """
     _check_tol(args.tol)
     base = _load_state(args)
     circuit_data = _load_json(args.circuit) if args.circuit is not None else None
     phis = _parse_grid(args.phi_grid)
     thetas = _parse_grid(args.theta_grid)
+    reports: dict[tuple[tuple[int, ...], bytes], SeparabilityReport] = {}
     rows = []
     for phi in phis:
         phi = float(phi)
@@ -152,7 +177,10 @@ def cmd_entropy_scan(args) -> int:
             evolved = run_circuit(state, circ)
             s_x = von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))
             s_y = von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))
-            report = is_separable(evolved, tol=args.tol)
+            key = _table_key(evolved)
+            report = reports.get(key)
+            if report is None:
+                report = reports[key] = is_separable(evolved, tol=args.tol)
             rank = report.slater_rank if report.slater_rank is not None else -1
             rows.append((phi, theta, s_x, s_y, report.e_sp, rank))
 
@@ -197,7 +225,9 @@ def cmd_check(args) -> int:
     return 1 if failed else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="anyonsim", description="fermionic-anyon circuit and entanglement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

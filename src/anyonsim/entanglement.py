@@ -5,7 +5,10 @@ Two distinct reductions coexist for particle states:
 * the *particle partial trace* integrates out particles by their position
   in the creation string; for exchanged orderings the deformed statistics
   inject explicit phases, which is exactly the mechanism that makes the
-  naive single-particle entropy sector-dependent;
+  naive single-particle entropy sector-dependent.  Each ordered
+  annihilation chain ends on the vacuum from exactly one ket, so its
+  amplitude is that ket's amplitude times the chain's ladder phases,
+  computed in closed form without intermediate states (N! chains per ket);
 * the *one-body matrix* of ladder-bilinear expectations, whose spectrum in
   the fermionic sector is sector-invariant and yields the minimal-entropy
   mode representation that actually decides separability.
@@ -15,13 +18,24 @@ Entropies are reported in bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
+from itertools import permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .states import AnyonState, apply_annihilate, inner_product, rotated_create
+from .states import (
+    PRUNE_EPS,
+    AnyonState,
+    annihilate_component,
+    apply_annihilate,
+    inner_product,
+    occupied_modes,
+    rotated_create,
+)
 from .transmute import fermionize
 
 _HERM_ATOL = 1e-10
@@ -31,9 +45,14 @@ _EIG_CUT = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A trace-one Hermitian positive matrix with validated invariants."""
+    """A trace-one Hermitian positive matrix with validated invariants.
+
+    ``spectrum`` holds the ascending eigenvalues computed by the positivity
+    check; :func:`von_neumann_entropy` reads them instead of recomputing.
+    """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -44,8 +63,10 @@ class DensityMatrix:
             raise InvariantBreachError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > _HERM_ATOL:
             raise InvariantBreachError("density matrix trace must be one")
-        if np.min(np.linalg.eigvalsh(mat)) < _EIG_FLOOR:
+        lam = np.linalg.eigvalsh(mat)
+        if np.min(lam) < _EIG_FLOOR:
             raise InvariantBreachError("density matrix has a significantly negative eigenvalue")
+        object.__setattr__(self, "spectrum", lam)
 
     @property
     def dim(self) -> int:
@@ -63,11 +84,18 @@ def binary_entropy(p: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """Spectral entropy in bits; tiny negative eigenvalues are clamped to zero."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > _HERM_ATOL:
-        raise PreconditionError("entropy requires a Hermitian matrix")
-    lam = np.linalg.eigvalsh(mat)
+    """Spectral entropy in bits; tiny negative eigenvalues are clamped to zero.
+
+    A :class:`DensityMatrix` is already validated and brings its spectrum;
+    a raw array is checked for Hermiticity and diagonalized here.
+    """
+    if isinstance(rho, DensityMatrix):
+        lam = rho.spectrum
+    else:
+        mat = np.asarray(rho, dtype=complex)
+        if np.max(np.abs(mat - mat.conj().T)) > _HERM_ATOL:
+            raise PreconditionError("entropy requires a Hermitian matrix")
+        lam = np.linalg.eigvalsh(mat)
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > _EIG_CUT]
     return float(-(lam * np.log2(lam)).sum())
@@ -101,23 +129,35 @@ def one_body_rdm(state: AnyonState) -> DensityMatrix:
     return DensityMatrix(one_body_matrix(state) / n)
 
 
-def _chain_amplitudes(state: AnyonState, depth: int) -> dict[tuple[int, ...], complex]:
-    """Vacuum amplitudes of all ordered annihilation chains of the given depth.
+def _chain_amplitudes(state: AnyonState) -> dict[tuple[int, ...], complex]:
+    """Vacuum amplitudes of all ordered annihilation chains of a definite-N state.
 
     Entry (i_1, ..., i_N) is the amplitude left on the vacuum after
-    applying the mode-i_1 annihilator first, then i_2, and so on; the
-    statistics phases of each hop are produced by the ladder machinery.
+    applying the mode-i_1 annihilator first, then i_2, and so on.  Only the
+    ket occupying exactly {i_1, ..., i_N} reaches the vacuum, so the entry
+    is that ket's amplitude times the phase of each hop from
+    :func:`~anyonsim.states.annihilate_component`, multiplied in chain
+    order as Python scalars.  A chain is dropped once an intermediate value
+    fails :func:`~anyonsim.states.prune`'s rule, as applying the
+    annihilators one by one would drop it; a non-finite ket amplitude
+    raises as ``prune`` does.  Chains come in lexicographic order.
     """
-    frontier: dict[tuple[int, ...], AnyonState] = {(): state}
-    for _ in range(depth):
-        nxt: dict[tuple[int, ...], AnyonState] = {}
-        for prefix, st in frontier.items():
-            for i in range(1, state.m + 1):
-                lowered = apply_annihilate(st, i)
-                if lowered.amplitudes:
-                    nxt[prefix + (i,)] = lowered
-        frontier = nxt
-    return {chain: st.amplitudes.get(0, 0.0 + 0.0j) for chain, st in frontier.items()}
+    chains: list[tuple[tuple[int, ...], complex]] = []
+    for occ, amp in state.amplitudes.items():
+        amp = complex(amp)
+        if not cmath.isfinite(amp):
+            raise InvariantBreachError(f"amplitude of ket {occ:#b} is not finite: {amp}")
+        for chain in permutations(occupied_modes(occ, state.m)):
+            cur, val = occ, amp
+            for i in chain:
+                cur, phase = annihilate_component(state.phi, cur, i)
+                val *= phase
+                if not abs(val) > PRUNE_EPS:
+                    break
+            else:
+                chains.append((chain, val))
+    chains.sort(key=itemgetter(0))
+    return dict(chains)
 
 
 def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatrix:
@@ -127,6 +167,10 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
     string; tracing the second injects exchange phases) or ``"y"`` (second
     slot; the traced sum runs with no extra phase).  For general N an
     integer slot 1..N may be kept.  The result is trace-normalized.
+
+    Chains are grouped by the modes in the traced slots (their context), in
+    order of first appearance; each matrix entry accumulates its products
+    over the contexts in that order.
     """
     n = _definite_particle_number(state)
     if isinstance(keep, str):
@@ -139,16 +183,17 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
         slot = keep
     if not 1 <= slot <= n:
         raise PreconditionError(f"kept slot {slot} out of range 1..{n}")
-    amps = _chain_amplitudes(state, n)
     buckets: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for chain, value in amps.items():
+    for chain, value in _chain_amplitudes(state).items():
         ctx = chain[: slot - 1] + chain[slot:]
-        buckets.setdefault(ctx, []).append((chain[slot - 1], value))
-    mat = np.zeros((state.m, state.m), dtype=complex)
+        buckets.setdefault(ctx, []).append((chain[slot - 1] - 1, value))
+    acc = [[0j] * state.m for _ in range(state.m)]
     for entries in buckets.values():
         for i, vi in entries:
+            row = acc[i]
             for j, vj in entries:
-                mat[i - 1, j - 1] += vi * vj.conjugate()
+                row[j] += vi * vj.conjugate()
+    mat = np.array(acc, dtype=complex)
     tr = np.trace(mat).real
     if tr <= 0.0:
         raise PreconditionError("particle trace of the zero vector")

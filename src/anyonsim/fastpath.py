@@ -37,6 +37,8 @@ from .states import AnyonState, check_norm_kept, prune, same_sector
 _UNITARY_ATOL = 1e-10
 #: target row sets per stacked determinant call in :func:`_evolve_nc_block`
 _DET_CHUNK = 1024
+#: smallest normal float; smaller transfer-matrix parts are flushed to zero
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,16 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     """Fold a number-conserving circuit into one transfer matrix.
 
     Gates compose left to right: the first listed gate multiplies first.
+    Real and imaginary parts below the smallest normal float are set to 0.
     """
     check_family(circuit, allow_pa=False)
     total = np.eye(circuit.m, dtype=complex)
     for gate in circuit.gates:
         total = _gate_transfer(gate, circuit.m) @ total
+    # LAPACK's LU gives NaN for a singular minor holding a subnormal entry
+    # (det([[0, 0], [2.2e-313j, 1]]) is NaN); flush such parts to zero
+    for part in (total.real, total.imag):
+        part[np.abs(part) < _TINY] = 0.0
     return SingleParticleUnitary(total)
 
 
@@ -155,8 +162,10 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
                 # multiply does; numpy's vector complex multiply may not
                 totals.real += amp.real * d.real - amp.imag * d.imag
                 totals.imag += amp.real * d.imag + amp.imag * d.real
-            # exact zeros and NaN are dropped
-            keep = np.abs(totals) > 0.0
+            mags = np.abs(totals)
+            if not np.isfinite(mags).all():
+                raise InvariantBreachError(f"a determinant amplitude of an {n}-particle segment is not finite")
+            keep = mags > 0.0  # exact zeros are dropped
             out.update(zip(bits[rows[keep]].sum(axis=1).tolist(), totals[keep].tolist()))
     return out
 

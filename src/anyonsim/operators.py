@@ -155,7 +155,24 @@ def pair_source(m: int, i: int, j: int) -> OperatorExpr:
     )
 
 
+def _term_target(occ: int, term: LadderTerm) -> int | None:
+    """The ket a term sends ``occ`` to, or None when a factor kills it; no phase is computed.
+
+    A creator needs its mode empty and an annihilator needs it occupied;
+    either flips the mode's bit.
+    """
+    for mode, kind in reversed(term.factors):
+        bit = 1 << (mode - 1)
+        if (occ & bit == 0) != (kind == CREATE):
+            return None
+        occ ^= bit
+    return occ
+
+
 def _apply_term_component(phi: float, occ: int, amp: complex, term: LadderTerm) -> tuple[int, complex] | None:
+    target = _term_target(occ, term)
+    if target is None:
+        return None
     a = amp * term.coefficient
     diag = 0.0
     for mode, w in term.weights.items():
@@ -165,12 +182,9 @@ def _apply_term_component(phi: float, occ: int, amp: complex, term: LadderTerm) 
         a *= cmath.exp(1j * diag)
     cur = occ
     for mode, kind in reversed(term.factors):
-        step = create_component(phi, cur, mode) if kind == CREATE else annihilate_component(phi, cur, mode)
-        if step is None:
-            return None
-        cur = step[0]
-        a *= step[1]
-    return cur, a
+        cur, phase = create_component(phi, cur, mode) if kind == CREATE else annihilate_component(phi, cur, mode)
+        a *= phase
+    return target, a
 
 
 def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
@@ -190,10 +204,11 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
     """The orbits of ``kets`` under the terms of ``expr``, in order of first reach.
 
     An orbit is every ket that a starting ket reaches by repeated action of
-    the terms; a ket that an earlier orbit already holds starts none.  The
-    union of the orbits is closed under ``expr``, so :func:`operator_matrix`
-    on their concatenation is block-diagonal (for a Hermitian ``expr``),
-    one block per orbit.
+    the terms; a ket that an earlier orbit already holds starts none.  Which
+    ket a term reaches does not depend on the sector ``phi``, so no phase is
+    computed.  The union of the orbits is closed under ``expr``, so
+    :func:`operator_matrix` on their concatenation is block-diagonal (for a
+    Hermitian ``expr``), one block per orbit.
     """
     seen: set[int] = set()
     out: list[list[int]] = []
@@ -204,10 +219,10 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
         orbit = [start]
         for occ in orbit:  # the orbit grows while it is walked
             for term in expr.terms:
-                res = _apply_term_component(phi, occ, 1.0 + 0.0j, term)
-                if res is not None and res[0] not in seen:
-                    seen.add(res[0])
-                    orbit.append(res[0])
+                target = _term_target(occ, term)
+                if target is not None and target not in seen:
+                    seen.add(target)
+                    orbit.append(target)
         out.append(orbit)
     return out
 

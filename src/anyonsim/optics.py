@@ -188,25 +188,46 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     """exp(i * expr) on the orbits of the state's kets under ``expr``.
 
     The generator matrix is built once on the concatenated orbits; its
-    diagonal blocks are stacked by orbit size and each stack exponentiated
-    in one call.  Hermiticity is checked on the whole matrix, which also
-    bounds every entry outside the blocks by ``_HERM_ATOL``.
+    diagonal blocks are stacked by orbit size.  Each stack passes only its
+    byte-distinct blocks to ``expm``, which exponentiates every slice on its
+    own, so a repeated block gets the bits it would get alone.  Hermiticity
+    is checked on the whole matrix, which also bounds every entry outside
+    the blocks by ``_HERM_ATOL``.
     """
     if not state.amplitudes:
         return state
-    orbs = orbits(expr, state.phi, state.amplitudes)
-    basis = [occ for orbit in orbs for occ in orbit]
+    basis: list[int] = []
+    starts: dict[int, list[int]] = {}  # orbit size -> positions in basis where such orbits start
+    for orbit in orbits(expr, state.phi, state.amplitudes):
+        starts.setdefault(len(orbit), []).append(len(basis))
+        basis.extend(orbit)
     h = operator_matrix(expr, state.phi, basis)
     if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
         raise InvariantBreachError("gate generator is not Hermitian on its orbits")
     vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
-    sizes = np.array([len(orbit) for orbit in orbs])
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
-        idx = starts[sizes == size, None] + np.arange(size)  # (orbits, size) positions in basis
-        u = expm(1j * h[idx[:, :, None], idx[:, None, :]])
+    for size, first in starts.items():
+        idx = np.array(first)[:, None] + np.arange(size)  # (orbits, size) positions in basis
+        blocks = 1j * h[idx[:, :, None], idx[:, None, :]]
+        picks, inverse = _distinct_slices(blocks)
+        u = expm(blocks[picks])[inverse]
         vec[idx] = np.einsum("kab,kb->ka", u, vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
+
+
+def _distinct_slices(stack: np.ndarray) -> tuple[list[int], list[int]]:
+    """First index of each byte-distinct slice of a C-contiguous stack, and each slice's position among them."""
+    raw, step = stack.tobytes(), stack[0].nbytes
+    position: dict[bytes, int] = {}
+    picks: list[int] = []
+    inverse: list[int] = []
+    for k in range(len(stack)):
+        key = raw[k * step : (k + 1) * step]
+        pos = position.get(key)
+        if pos is None:
+            pos = position[key] = len(picks)
+            picks.append(k)
+        inverse.append(pos)
+    return picks, inverse
 
 
 def apply_gate(state: AnyonState, gate: GateElement) -> AnyonState:

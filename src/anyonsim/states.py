@@ -21,6 +21,7 @@ application.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -194,8 +195,19 @@ def basis_state(occ: int | str | Iterable[int], phi: float = 0.0, m: int | None 
 
 
 def prune(table: dict[int, complex], eps: float = PRUNE_EPS) -> dict[int, complex]:
-    """Drop entries with magnitude below ``eps``."""
-    return {occ: amp for occ, amp in table.items() if abs(amp) > eps}
+    """Drop entries with magnitude at most ``eps``.
+
+    A NaN or infinite amplitude raises InvariantBreachError: no evolution of
+    a finite state produces one, and dropping it would hide the fault.
+    """
+    out: dict[int, complex] = {}
+    for occ, amp in table.items():
+        mag = abs(amp)
+        if eps < mag < math.inf:
+            out[occ] = amp
+        elif not mag <= eps:  # NaN or infinite
+            raise InvariantBreachError(f"amplitude of ket {occ:#b} is not finite: {amp}")
+    return out
 
 
 def create_component(phi: float, occ: int, i: int) -> tuple[int, complex] | None:

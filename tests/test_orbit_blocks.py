@@ -1,0 +1,69 @@
+"""Repeated orbit blocks are exponentiated once and still get the bits of a per-block ``expm``."""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+import anyonsim.optics as optics_mod
+from anyonsim import AnyonState, bs, pa, ps
+from anyonsim.operators import operator_matrix, orbits
+from anyonsim.optics import _apply_orbit_exponential, _distinct_slices, generator_expr
+from anyonsim.states import prune
+
+
+def per_block_reference(state, expr):
+    """One ``expm`` call per orbit, blocks applied in orbit order."""
+    orbs = orbits(expr, state.phi, state.amplitudes)
+    basis = [occ for orbit in orbs for occ in orbit]
+    h = operator_matrix(expr, state.phi, basis)
+    vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
+    pos = 0
+    for orbit in orbs:
+        idx = np.arange(pos, pos + len(orbit))
+        u = expm(1j * h[np.ix_(idx, idx)][None])
+        vec[idx] = np.einsum("kab,kb->ka", u, vec[idx][None])[0]
+        pos += len(orbit)
+    return prune(dict(zip(basis, vec)))
+
+
+def full_state(rng, m, phi):
+    amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    amps /= np.linalg.norm(amps)
+    return AnyonState(m, phi, {occ: complex(a) for occ, a in enumerate(amps)})
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.1, np.pi])
+@pytest.mark.parametrize("gate", [ps(2, 0.7), bs(1, 2, 0.9), bs(2, 5, -1.3), pa(1, 2, 0.6), pa(4, 2, 2.1)])
+def test_orbit_exponential_bitwise_equals_per_block_expm(rng, phi, gate):
+    psi = full_state(rng, 6, phi)
+    expr = generator_expr(gate, psi.m)
+    got = _apply_orbit_exponential(psi, expr).amplitudes
+    ref = per_block_reference(psi, expr)
+    assert list(got) == list(ref)
+    assert np.array(list(got.values())).tobytes() == np.array(list(ref.values())).tobytes()
+
+
+def test_full_states_repeat_blocks(rng, monkeypatch):
+    # the states above hold many orbits with the same block, so the dedupe is exercised
+    sliced = []
+    real_expm = optics_mod.expm
+
+    def spy(stack):
+        sliced.append(len(stack))
+        return real_expm(stack)
+
+    monkeypatch.setattr(optics_mod, "expm", spy)
+    psi = full_state(rng, 6, 1.1)
+    _apply_orbit_exponential(psi, generator_expr(bs(1, 2, 0.9), psi.m))
+    orbit_count = len(orbits(generator_expr(bs(1, 2, 0.9), psi.m), psi.phi, psi.amplitudes))
+    assert sum(sliced) < orbit_count
+
+
+def test_distinct_slices_keeps_first_occurrence_and_signed_zero():
+    a = np.array([[1.0 + 2.0j]])
+    z = np.array([[0.0 + 0.0j]])
+    stack = np.stack([a, z, a, -z, z])
+    picks, inverse = _distinct_slices(stack)
+    assert picks == [0, 1, 3]  # -0.0 is a distinct block
+    assert inverse == [0, 1, 0, 2, 1]
+    assert stack[picks][inverse].tobytes() == stack.tobytes()
