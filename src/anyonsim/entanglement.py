@@ -41,6 +41,10 @@ from .transmute import fermionize
 _HERM_ATOL = 1e-10
 _EIG_FLOOR = -1e-10
 _EIG_CUT = 1e-12
+#: pair coefficients at or below this are zero, and so are differences
+#: between them: it splits off the kernel of the pair normal form, joins
+#: coefficients into degenerate clusters, and bounds the block check
+_Z_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,13 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantBreachError("density matrix must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_ATOL:
+        # each test is written so that NaN fails it
+        if not np.max(np.abs(mat - mat.conj().T)) <= _HERM_ATOL:
             raise InvariantBreachError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > _HERM_ATOL:
+        if not abs(np.trace(mat).real - 1.0) <= _HERM_ATOL:
             raise InvariantBreachError("density matrix trace must be one")
         lam = np.linalg.eigvalsh(mat)
-        if np.min(lam) < _EIG_FLOOR:
+        if not np.min(lam) >= _EIG_FLOOR:
             raise InvariantBreachError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "spectrum", lam)
 
@@ -93,7 +98,7 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
         lam = rho.spectrum
     else:
         mat = np.asarray(rho, dtype=complex)
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= _HERM_ATOL:  # NaN fails too
             raise PreconditionError("entropy requires a Hermitian matrix")
         lam = np.linalg.eigvalsh(mat)
     lam = np.clip(lam, 0.0, None)
@@ -290,102 +295,87 @@ def two_particle_coefficients(state: AnyonState) -> TwoParticleCoefficients:
     return TwoParticleCoefficients(mat)
 
 
-def _pair_block_rows(c: np.ndarray, lam_floor: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a unitary bringing an antisymmetric matrix to 2x2-block form.
+def _pair_block_rows(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of a unitary bringing an antisymmetric matrix to 2x2-block form, and the pair count.
 
-    Works inside each eigenvalue cluster of C+C: for a unit eigenvector u
-    with eigenvalue z^2 the partner C+ conj(u) / z is orthogonal to u, lies
-    in the same cluster, and satisfies u^T C partner = z exactly.
-    Eigenvalues at or below ``lam_floor`` are treated as kernel noise.
+    Reads the singular values of C, which come in equal pairs (one per
+    coefficient z), and the right singular vectors, which span the
+    eigenspaces of C+C.  Pairs are taken two values at a time, so a pair
+    is never split.  A pair whose first value is within ``_Z_FLOOR`` of
+    the previous pair's last joins its cluster, which is treated as
+    degenerate; the first pair led by a value at or below ``_Z_FLOOR``
+    starts the kernel.  Pair rows come first, then the kernel.
     """
     m = c.shape[0]
-    h = c.conj().T @ c
-    evals, evecs = np.linalg.eigh(h)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
+    _, sing, vh = np.linalg.svd(c)
+    vecs = vh.conj().T
     rows: list[np.ndarray] = []
-    zs: list[float] = []
-    idx = 0
-    while idx < m:
-        lam = evals[idx]
-        if lam <= lam_floor:
-            break
-        hi = idx
-        while hi + 1 < m and abs(evals[hi + 1] - lam) <= 1e-9 * max(1.0, lam):
-            hi += 1
-        cluster = evecs[:, idx : hi + 1].copy()
-        while cluster.shape[1] > 0:
-            # deterministic tie-break inside degenerate clusters: seed the
-            # pair with the earliest coordinate axis the cluster touches
-            coord_weight = np.sum(np.abs(cluster) ** 2, axis=1)
-            k = int(np.nonzero(coord_weight > 1e-9)[0][0])
-            u = cluster @ cluster[k].conj()
-            u = u / np.linalg.norm(u)
-            w = c.conj().T @ u.conj()
-            nr = np.linalg.norm(w)
-            if nr * nr < 0.25 * lam:
-                raise InvariantBreachError("pairing partner collapsed; antisymmetric structure violated")
-            w = w / nr
-            w = w - (u.conj() @ w) * u
-            nw = np.linalg.norm(w)
-            if nw < 0.5:
-                raise InvariantBreachError("pairing partner collapsed; antisymmetric structure violated")
-            w = w / nw
-            rows.extend([u, w])
-            zs.append(abs(complex(u @ c @ w)))
-            if cluster.shape[1] > 2:
-                rest = cluster - np.outer(u, u.conj() @ cluster) - np.outer(w, w.conj() @ cluster)
-                left, sing, _ = np.linalg.svd(rest, full_matrices=False)
-                keep = sing > 0.5
-                if int(keep.sum()) != cluster.shape[1] - 2:
-                    raise InvariantBreachError("cluster deflation lost orthogonal directions")
-                cluster = left[:, keep]
-            else:
-                cluster = cluster[:, :0]
-        idx = hi + 1
-    if idx < m:
-        rows.extend(_axis_aligned_basis(evecs[:, idx:]))
-    u_mat = np.array(rows)
-    return u_mat, np.array(zs)
+    lo = 0
+    while lo + 1 < m and sing[lo] > _Z_FLOOR:
+        hi = lo + 2
+        while hi + 1 < m and _Z_FLOOR < sing[hi] and sing[hi - 1] - sing[hi] <= _Z_FLOOR:
+            hi += 2
+        rows.extend(_axis_rows(vecs[:, lo:hi], c, sing[lo]))
+        lo = hi
+    n_pairs = len(rows) // 2
+    rows.extend(_axis_rows(vecs[:, lo:]))
+    return np.array(rows), n_pairs
 
 
-def _axis_aligned_basis(space: np.ndarray) -> list[np.ndarray]:
-    """Deterministic orthonormal basis of a column span, seeded by coordinate axes."""
-    vecs: list[np.ndarray] = []
-    space = space.copy()
+def _axis_rows(space: np.ndarray, c: np.ndarray | None = None, z: float = 0.0) -> list[np.ndarray]:
+    """Deterministic orthonormal rows spanning the columns of ``space``.
+
+    Each step seeds a unit vector at the earliest coordinate axis the
+    remaining span touches, the tie-break inside a degenerate span, and
+    deflates it away.  Given a pair matrix ``c`` with singular value ``z``
+    on the span, each seed u is followed by its partner: C+ conj(u)
+    projected onto the span and made orthogonal to u, so u^T C partner = z.
+    The projection drops what rounding in u leaks in from larger singular
+    values, which C+ amplifies by their ratio to z.
+    """
+    rows: list[np.ndarray] = []
     while space.shape[1] > 0:
-        coord_weight = np.sum(np.abs(space) ** 2, axis=1)
-        k = int(np.nonzero(coord_weight > 1e-9)[0][0])
-        v = space @ space[k].conj()
-        v = v / np.linalg.norm(v)
-        vecs.append(v)
-        if space.shape[1] == 1:
-            break
-        rest = space - np.outer(v, v.conj() @ space)
+        k = int(np.nonzero(np.sum(np.abs(space) ** 2, axis=1) > 1e-9)[0][0])
+        u = space @ space[k].conj()
+        found = [u / np.linalg.norm(u)]
+        if c is not None:
+            w = space @ (space.conj().T @ (c.conj().T @ found[0].conj()))
+            nr = np.linalg.norm(w)
+            w = w - (found[0].conj() @ w) * found[0]
+            nw = np.linalg.norm(w)
+            if not (nr >= 0.5 * z and nw >= 0.5 * nr):
+                raise InvariantBreachError("pairing partner collapsed; antisymmetric structure violated")
+            found.append(w / nw)
+        rest = space - sum(np.outer(v, v.conj() @ space) for v in found)
         left, sing, _ = np.linalg.svd(rest, full_matrices=False)
         space = left[:, sing > 0.5]
-    return vecs
+        if space.shape[1] != rest.shape[1] - len(found):
+            raise InvariantBreachError("deflation lost orthogonal directions")
+        rows.extend(found)
+    return rows
 
 
-def slater_decompose(state: AnyonState, rank_tol: float = 1e-8) -> SlaterDecomposition:
+def slater_decompose(state: AnyonState, rank_tol: float = _Z_FLOOR) -> SlaterDecomposition:
     """Pair normal form of a two-particle state.
 
     The coefficients equal those of the fermionic-sector counterpart with
     the same amplitude table, so they are independent of the statistics
     tag.  The returned coefficients are read off the transformed matrix,
-    not from the eigenvalue oracle, so the two routes stay independent.
+    not from the singular values, so the two routes stay independent.
+    The pair rows of the transformed matrix must match the block form to
+    ``_Z_FLOOR``; the kernel block holds only singular values at or below
+    it, which the floor calls zero.
     """
     coeffs = two_particle_coefficients(state)
     c = coeffs.matrix
-    u_mat, z_probe = _pair_block_rows(c)
+    u_mat, n_pairs = _pair_block_rows(c)
     z_form = u_mat @ c @ u_mat.T
-    n_pairs = len(z_probe)
     z = np.array([z_form[2 * k, 2 * k + 1].real for k in range(n_pairs)])
-    check = z_form.copy()
+    check = z_form[: 2 * n_pairs].copy()
     for k in range(n_pairs):
         check[2 * k, 2 * k + 1] -= z[k]
         check[2 * k + 1, 2 * k] += z[k]
-    if np.max(np.abs(check)) > 1e-8 or (len(z) > 0 and np.min(z) < -1e-12):
+    if np.max(np.abs(check)) > _Z_FLOOR or (len(z) > 0 and np.min(z) < -1e-12):
         raise InvariantBreachError("block-diagonalization of the pair matrix failed")
     order = np.argsort(z)[::-1]
     perm: list[int] = []
@@ -431,16 +421,17 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     representation sits within ``tol`` of 0 or 1.  For two particles the
     verdict is cross-checked against the pair normal form (a single
     coefficient iff separable); disagreement raises, since the two
-    criteria are equivalent.
+    criteria are equivalent.  The reported Slater rank is the one
+    cross-checked: it counts coefficients above sqrt(``tol``), since the
+    occupations of a pair coefficient z are z^2.
     """
     modes = minimal_entropy_modes(state)
     sep = bool(np.all(np.abs(modes.occupations - np.round(modes.occupations)) <= tol))
     rank: int | None = None
     if state.particle_number() == 2:
-        dec = slater_decompose(state, rank_tol=float(np.sqrt(tol)))
-        rank = int(np.sum(dec.z > 1e-8))
-        if (dec.rank == 1) != sep:
+        rank = slater_decompose(state, rank_tol=float(np.sqrt(tol))).rank
+        if (rank == 1) != sep:
             raise InvariantBreachError(
-                f"pair normal form (rank {dec.rank}) disagrees with mode occupations {modes.occupations}"
+                f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}"
             )
     return SeparabilityReport(sep, modes.occupations, modes.mode_basis, modes.e_sp, rank)

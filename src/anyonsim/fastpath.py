@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, groupby, islice
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class SingleParticleUnitary:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise InvariantBreachError("transfer matrix must be square")
         dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if dev > _UNITARY_ATOL:
+        if not dev <= _UNITARY_ATOL:  # NaN fails too
             raise InvariantBreachError(f"transfer matrix is not unitary (deviation {dev:.3e})")
 
     @property
@@ -187,22 +187,14 @@ def _apply_pa12(table: dict[int, complex], theta: float) -> dict[int, complex]:
 
 
 def _evolve_table(table: dict[int, complex], circuit: Circuit) -> dict[int, complex]:
-    pending: list[GateElement] = []
-
-    def flush(tab: dict[int, complex]) -> dict[int, complex]:
-        if not pending:
-            return tab
-        seg = Circuit(circuit.m, circuit.phi, tuple(pending))
-        pending.clear()
-        return _evolve_nc_block(tab, compile_single_particle(seg))
-
-    for gate in circuit.gates:
-        if gate.kind == "PA":
-            table = flush(table)
-            table = _apply_pa12(table, gate.theta)
+    """Each PA(1, 2) gate in place, each maximal run of other gates as one compiled segment."""
+    for is_pa, run in groupby(circuit.gates, key=lambda gate: gate.kind == "PA"):
+        if is_pa:
+            for gate in run:
+                table = _apply_pa12(table, gate.theta)
         else:
-            pending.append(gate)
-    table = flush(table)
+            segment = Circuit(circuit.m, circuit.phi, tuple(run))
+            table = _evolve_nc_block(table, compile_single_particle(segment))
     return prune(table)
 
 

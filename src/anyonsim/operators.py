@@ -15,7 +15,9 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import PreconditionError
+import numpy as np
+
+from .errors import InvariantBreachError, PreconditionError
 from .states import AnyonState, annihilate_component, create_component, prune
 
 CREATE = "create"
@@ -170,9 +172,7 @@ def _term_target(occ: int, term: LadderTerm) -> int | None:
 
 
 def _apply_term_component(phi: float, occ: int, amp: complex, term: LadderTerm) -> tuple[int, complex] | None:
-    target = _term_target(occ, term)
-    if target is None:
-        return None
+    """The ket and amplitude a term sends ``amp |occ>`` to, or None when a factor kills it."""
     a = amp * term.coefficient
     diag = 0.0
     for mode, w in term.weights.items():
@@ -180,11 +180,13 @@ def _apply_term_component(phi: float, occ: int, amp: complex, term: LadderTerm) 
             diag += w
     if diag:
         a *= cmath.exp(1j * diag)
-    cur = occ
     for mode, kind in reversed(term.factors):
-        cur, phase = create_component(phi, cur, mode) if kind == CREATE else annihilate_component(phi, cur, mode)
+        step = create_component(phi, occ, mode) if kind == CREATE else annihilate_component(phi, occ, mode)
+        if step is None:
+            return None
+        occ, phase = step
         a *= phase
-    return target, a
+    return occ, a
 
 
 def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
@@ -227,15 +229,11 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
     return out
 
 
-def operator_matrix(expr: OperatorExpr, phi: float, basis: Iterable[int]) -> "np.ndarray":
+def operator_matrix(expr: OperatorExpr, phi: float, basis: Iterable[int]) -> np.ndarray:
     """Dense matrix of ``expr`` on an ordered basis of occupation bitmasks.
 
     The basis must be closed under the action of ``expr``; leakage raises.
     """
-    import numpy as np
-
-    from .errors import InvariantBreachError
-
     basis = list(basis)
     index = {occ: k for k, occ in enumerate(basis)}
     mat = np.zeros((len(basis), len(basis)), dtype=complex)

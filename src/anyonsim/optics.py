@@ -395,10 +395,10 @@ class BogoliubovPair:
     def mode_count(self) -> int:
         return self.u.shape[0]
 
-    def is_rotation(self, atol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.v)) <= atol)
+    def is_rotation(self) -> bool:
+        return bool(np.max(np.abs(self.v)) <= 1e-12)
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
         m = self.u.shape[0]
         if self.u.shape != (m, m) or self.v.shape != (m, m):
             raise PreconditionError("U and V must be square matrices of equal size")
@@ -407,7 +407,7 @@ class BogoliubovPair:
         eye = np.eye(m)
         r1 = np.max(np.abs(self.u @ self.u.conj().T + self.v @ self.v.conj().T - eye))
         r2 = np.max(np.abs(self.u @ self.v.T + self.v @ self.u.T))
-        if r1 > atol or r2 > atol:
+        if r1 > 1e-10 or r2 > 1e-10:
             raise PreconditionError(
                 f"not a canonical pair: |UU+ + VV+ - 1| = {r1:.3e}, |UV^T + VU^T| = {r2:.3e}"
             )

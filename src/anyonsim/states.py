@@ -31,7 +31,7 @@ TWO_PI = 2.0 * 3.141592653589793
 
 #: amplitudes below this magnitude are pruned after operator application
 PRUNE_EPS = 1e-14
-#: tolerance on |  <psi|psi> - 1 | for treating a state as normalized
+#: relative tolerance on the squared norm a unitary evolution may move
 NORM_ATOL = 1e-10
 
 # Exchange sign s in the reordering phase (-exp(i*s*phi))**crossings.
@@ -139,9 +139,6 @@ class AnyonState:
     def norm(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes.values()) ** 0.5
 
-    def is_normalized(self, atol: float = NORM_ATOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= atol
-
     def normalized(self) -> "AnyonState":
         n = self.norm()
         if n == 0.0:
@@ -194,8 +191,8 @@ def basis_state(occ: int | str | Iterable[int], phi: float = 0.0, m: int | None 
     return AnyonState(width, phi, {mask: 1.0 + 0.0j})
 
 
-def prune(table: dict[int, complex], eps: float = PRUNE_EPS) -> dict[int, complex]:
-    """Drop entries with magnitude at most ``eps``.
+def prune(table: dict[int, complex]) -> dict[int, complex]:
+    """Drop entries with magnitude at most :data:`PRUNE_EPS`.
 
     A NaN or infinite amplitude raises InvariantBreachError: no evolution of
     a finite state produces one, and dropping it would hide the fault.
@@ -203,9 +200,9 @@ def prune(table: dict[int, complex], eps: float = PRUNE_EPS) -> dict[int, comple
     out: dict[int, complex] = {}
     for occ, amp in table.items():
         mag = abs(amp)
-        if eps < mag < math.inf:
+        if PRUNE_EPS < mag < math.inf:
             out[occ] = amp
-        elif not mag <= eps:  # NaN or infinite
+        elif not mag <= PRUNE_EPS:  # NaN or infinite
             raise InvariantBreachError(f"amplitude of ket {occ:#b} is not finite: {amp}")
     return out
 

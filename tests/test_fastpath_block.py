@@ -77,3 +77,19 @@ def test_fastpath_beyond_64_modes():
     dense = run_circuit(state, circuit)
     assert max(fast.amplitudes) >= 1 << 64
     assert table_diff(fast, dense) < 1e-12
+
+
+def test_each_run_between_pairing_gates_is_compiled_once(monkeypatch):
+    from anyonsim import pa
+
+    segments = []
+    real_compile = fastpath.compile_single_particle
+
+    def record(circuit):
+        segments.append(tuple(g.label() for g in circuit.gates))
+        return real_compile(circuit)
+
+    monkeypatch.setattr(fastpath, "compile_single_particle", record)
+    gates = (pa(1, 2, 0.3), bs(2, 3, 0.4), ps(1, 0.5), pa(1, 2, 0.6), pa(1, 2, 0.7), fswap(3, 4), bs(1, 2, 0.8))
+    fastpath._evolve_table({0b0101: 1.0 + 0.0j}, Circuit(4, 0.0, gates))
+    assert segments == [(bs(2, 3, 0.4).label(), ps(1, 0.5).label()), (fswap(3, 4).label(), bs(1, 2, 0.8).label())]

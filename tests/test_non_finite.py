@@ -9,6 +9,8 @@ import anyonsim.optics as optics_mod
 from anyonsim import AnyonState, Circuit, InvariantBreachError, bs, circuit_to_json_dict, run_circuit, run_circuit_fastpath
 from anyonsim import fastpath
 from anyonsim.cli import main
+from anyonsim.entanglement import DensityMatrix, von_neumann_entropy
+from anyonsim.errors import PreconditionError
 from anyonsim.states import prune
 
 
@@ -56,3 +58,22 @@ def test_block_raises_on_non_finite_total():
     u[1, 2] = u[2, 1] = 2.2250738585e-313j
     with pytest.raises(InvariantBreachError, match="not finite"):
         fastpath._evolve_nc_block(dict(SUBNORMAL_STATE.amplitudes), fastpath.SingleParticleUnitary(u))
+
+
+NAN = float("nan")
+
+
+def test_transfer_matrix_with_nan_entry_is_rejected():
+    with pytest.raises(InvariantBreachError, match="not unitary"):
+        fastpath.SingleParticleUnitary(np.array([[NAN, 0.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_density_matrix_with_nan_in_the_unread_triangle_is_rejected():
+    # eigvalsh reads one triangle only; the NaN sits in the other
+    with pytest.raises(InvariantBreachError, match="not Hermitian"):
+        DensityMatrix([[0.5, NAN], [0.0, 0.5]])
+
+
+def test_entropy_of_a_raw_nan_matrix_is_rejected():
+    with pytest.raises(PreconditionError, match="Hermitian"):
+        von_neumann_entropy(np.full((2, 2), NAN))
