@@ -252,10 +252,10 @@ class TwoParticleCoefficients:
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if np.max(np.abs(mat + mat.T)) > 1e-12:
+        if not np.max(np.abs(mat + mat.T)) <= 1e-12:  # NaN fails too
             raise InvariantBreachError("pair-coefficient matrix must be antisymmetric")
         total = float(np.sum(np.abs(mat) ** 2)) / 2.0
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise InvariantBreachError("pair coefficients must carry unit norm")
 
     @property

@@ -9,10 +9,17 @@ input one (both in increasing mode order, matching the basis convention of
 family is invariant under statistics transmutation, the same numbers are
 the amplitudes in every phi sector.
 
-Minors are evaluated as stacked determinants, per compiled segment and
-particle number: for each input configuration the transfer-matrix columns
-are picked once, and the target row sets stream from ``combinations`` in
-chunks, each chunk one ``np.linalg.det`` call on a ``(k, N, N)`` stack.
+Minors are evaluated only inside each input's light cone: the rows where
+its transfer-matrix columns are nonzero (a shallow nearest-neighbour
+circuit has a banded transfer matrix, so a particle reaches few modes).
+Of the row sets inside the cone, only those that meet every input column
+are evaluated, as stacked determinants: one ``np.linalg.det`` call per
+chunk of (input, row set) pairs.  This is exact: every skipped minor has a
+zero row or a zero column, LU returns exactly +-0 for it once the transfer
+matrix has no subnormal part, and adding +-0 leaves a running total's bits
+unchanged, so the table is bit for bit that of the full C(m, N)
+enumeration.  A segment whose cones hold more than ``_MINOR_BUDGET`` row
+sets is refused with :class:`~anyonsim.errors.PreconditionError`.
 
 ``PA(1, 2)`` is also admitted: its action is dense but strictly local to
 the two lowest modes (they have no modes to their left), so evolution
@@ -24,19 +31,22 @@ splitter, is rejected; those circuits are served by the dense engine.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, islice
 
 import numpy as np
 
-from .errors import FamilyMismatchError, InvariantBreachError, ParticleNumberMismatch
+from .errors import FamilyMismatchError, InvariantBreachError, ParticleNumberMismatch, PreconditionError
 from .optics import Circuit, GateElement
 from .states import AnyonState, check_norm_kept, prune, same_sector
 
 _UNITARY_ATOL = 1e-10
-#: target row sets per stacked determinant call in :func:`_evolve_nc_block`
+#: (input, row set) pairs per stacked determinant call in :func:`_evolve_nc_block`
 _DET_CHUNK = 1024
+#: most minors one compiled segment may evaluate, about 20 s of 7 x 7 determinants
+_MINOR_BUDGET = 10**7
 #: smallest normal float; smaller transfer-matrix parts are flushed to zero
 _TINY = np.finfo(float).tiny
 
@@ -134,34 +144,105 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
     return complex(np.linalg.det(u.matrix[:, _occupied(x, u.m)][_occupied(y, u.m)]))
 
 
+def _sector_blocks(cones: np.ndarray, n: int, work: int):
+    """Target row sets of one particle-number sector, and the (input, target) pairs to evaluate.
+
+    ``cones[i]`` is input ``i``'s light cone as a boolean row mask, and
+    ``work`` is the sum of C(|cone|, n) over the inputs.  Yields
+    ``(rows, who, at)``: a block of target row sets in lexicographic order,
+    and the pairs whose target ``rows[at]`` lies inside input ``who``'s
+    cone, grouped by input in table order.  Targets stream from the union
+    of the cones, about ``_DET_CHUNK`` pairs per block, unless the union
+    has more than ``work`` row sets; then the distinct cones' own row sets
+    are merged by ``np.unique`` into one block.
+    """
+    dtype = np.min_scalar_type(cones.shape[1])  # row indices; small, since the row-set lists may be long
+    union = np.flatnonzero(cones.any(axis=0)).tolist()
+    if math.comb(len(union), n) <= work:
+        flat_rows = chain.from_iterable(combinations(union, n))
+        per_block = max(1, _DET_CHUNK // len(cones))
+        while (flat := np.fromiter(islice(flat_rows, per_block * n), dtype=dtype)).size:
+            rows = flat.reshape(-1, n)
+            who, at = np.nonzero(cones[:, rows].all(axis=2))
+            yield rows, who, at
+        return
+    distinct, which = np.unique(cones, axis=0, return_inverse=True)
+    lists = [
+        np.fromiter(chain.from_iterable(combinations(np.flatnonzero(cone).tolist(), n)), dtype=dtype).reshape(-1, n)
+        for cone in distinct
+    ]
+    rows, slots = np.unique(np.concatenate(lists), axis=0, return_inverse=True)
+    slots = np.split(slots.ravel(), np.cumsum([len(cand) for cand in lists])[:-1])
+    which = which.ravel()
+    who = np.repeat(np.arange(len(which)), [len(slots[j]) for j in which])
+    yield rows, who, np.concatenate([slots[j] for j in which])
+
+
 def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dict[int, complex]:
     """Apply a compiled segment to every particle-number sector of a table.
 
-    Each target's amplitude accumulates over the inputs in table order.
-    Output bitmasks are summed as Python ints, so any ``m`` works.
+    Only the row sets inside an input's light cone that meet every input
+    column are evaluated (see the module docstring for why that is exact).
+    Each target's amplitude accumulates over the inputs in table order, and
+    targets come out in lexicographic order within each sector, as the full
+    enumeration gives them.  Output bitmasks are summed as Python ints, so
+    any ``m`` works.
+
+    Raises InvariantBreachError if ``u`` has a subnormal part, and
+    PreconditionError, before evaluating anything, if the segment would
+    evaluate more than ``_MINOR_BUDGET`` minors, counted as C(|cone|, N)
+    per input.
     """
     m = u.m
+    parts = np.abs(np.stack([u.matrix.real, u.matrix.imag]))
+    if parts[parts < _TINY].any():
+        # LU can turn a minor holding a subnormal entry into NaN, and the
+        # skipped minors would no longer be exactly zero
+        raise InvariantBreachError(
+            "transfer matrix has a subnormal part, for which a minor's determinant may be not finite"
+        )
+    by_n: dict[int, list[int]] = {}
+    for occ in table:
+        by_n.setdefault(occ.bit_count(), []).append(occ)
+    sectors = {}
+    for n, occs in by_n.items():
+        if n:
+            cols = u.matrix[:, [_occupied(occ, m) for occ in occs]].transpose(1, 0, 2)  # (input, row, column)
+            live = cols != 0.0
+            cones = live.any(axis=2)
+            # each row's live columns as packed bits: a row set meets every
+            # column when the OR of its rows' bits is all ones
+            hits = np.packbits(live, axis=2)
+            sectors[n] = (cols, hits, cones, sum(math.comb(k, n) for k in cones.sum(axis=1).tolist()))
+    work = sum(sector[-1] for sector in sectors.values())
+    if work > _MINOR_BUDGET:
+        raise PreconditionError(
+            f"the fast path would evaluate {work} minors for one segment, over the budget of {_MINOR_BUDGET}"
+        )
     bits = np.array([1 << k for k in range(m)], dtype=object)
     out: dict[int, complex] = {}
-    by_n: dict[int, dict[int, complex]] = {}
-    for occ, amp in table.items():
-        by_n.setdefault(occ.bit_count(), {})[occ] = amp
-    for n, comps in by_n.items():
+    for n, occs in by_n.items():
         if n == 0:
-            for occ, amp in comps.items():
-                out[occ] = out.get(occ, 0.0) + amp
+            for occ in occs:
+                out[occ] = out.get(occ, 0.0) + table[occ]
             continue
-        inputs = [(amp, u.matrix[:, _occupied(w, m)]) for w, amp in comps.items()]
-        targets = chain.from_iterable(combinations(range(m), n))
-        while (flat := np.fromiter(islice(targets, _DET_CHUNK * n), dtype=np.intp)).size:
-            rows = flat.reshape(-1, n)
+        cols, hits, cones, sector_work = sectors[n]
+        every_column = np.packbits(np.ones(n, dtype=bool))
+        amps = np.array([table[occ] for occ in occs], dtype=complex)
+        for rows, who, at in _sector_blocks(cones, n, sector_work):
             totals = np.zeros(len(rows), dtype=complex)
-            for amp, sub in inputs:
-                d = np.linalg.det(sub[rows])
+            for start in range(0, len(who), _DET_CHUNK):
+                w, a = who[start : start + _DET_CHUNK], at[start : start + _DET_CHUNK]
+                picked = rows[a]
+                covered = (np.bitwise_or.reduce(hits[w[:, None], picked], axis=1) == every_column).all(axis=1)
+                w, a = w[covered], a[covered]
+                d = np.linalg.det(cols[w[:, None], picked[covered]])
                 # real arithmetic rounds each product as a scalar complex
-                # multiply does; numpy's vector complex multiply may not
-                totals.real += amp.real * d.real - amp.imag * d.imag
-                totals.imag += amp.real * d.imag + amp.imag * d.real
+                # multiply does; numpy's vector complex multiply may not;
+                # add.at adds repeated slots in pair order, so in table order
+                re, im = amps.real[w], amps.imag[w]
+                np.add.at(totals.real, a, re * d.real - im * d.imag)
+                np.add.at(totals.imag, a, re * d.imag + im * d.real)
             mags = np.abs(totals)
             if not np.isfinite(mags).all():
                 raise InvariantBreachError(f"a determinant amplitude of an {n}-particle segment is not finite")

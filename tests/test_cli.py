@@ -280,3 +280,22 @@ def test_fastpath_norm_drift_exits_5(tmp_path, capsys, monkeypatch):
     assert main(["run", "--preset", "split-pair", "--circuit", circ, "--engine", "fastpath", "--out", str(out)]) == 5
     assert "norm" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fastpath_over_the_minor_budget_exits_4(tmp_path, capsys):
+    # an alternating (30, 15) input through one brickwork layer: every
+    # input column reaches both modes of its pair, so the cone is all 30
+    # rows and the estimate is C(30, 15) minors
+    m = 30
+    state = write_json(
+        tmp_path / "s.json",
+        {"m": m, "phi": 0.0, "amplitudes": [{"occ": "10" * (m // 2), "re": 1.0, "im": 0.0}]},
+    )
+    circ = write_json(
+        tmp_path / "c.json", circuit_to_json_dict(Circuit(m, 0.0, tuple(bs(a, a + 1, 0.7) for a in range(1, m, 2))))
+    )
+    out = tmp_path / "amps.csv"
+    assert main(["run", "--state", state, "--circuit", circ, "--engine", "fastpath", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{math.comb(m, m // 2)} minors" in err and "budget" in err
+    assert not out.exists()

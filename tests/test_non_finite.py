@@ -9,7 +9,7 @@ import anyonsim.optics as optics_mod
 from anyonsim import AnyonState, Circuit, InvariantBreachError, bs, circuit_to_json_dict, run_circuit, run_circuit_fastpath
 from anyonsim import fastpath
 from anyonsim.cli import main
-from anyonsim.entanglement import DensityMatrix, von_neumann_entropy
+from anyonsim.entanglement import DensityMatrix, slater_decompose, von_neumann_entropy
 from anyonsim.errors import PreconditionError
 from anyonsim.states import prune
 
@@ -77,3 +77,8 @@ def test_density_matrix_with_nan_in_the_unread_triangle_is_rejected():
 def test_entropy_of_a_raw_nan_matrix_is_rejected():
     with pytest.raises(PreconditionError, match="Hermitian"):
         von_neumann_entropy(np.full((2, 2), NAN))
+
+
+def test_pair_coefficients_with_nan_are_rejected():
+    with pytest.raises(InvariantBreachError, match="antisymmetric"):
+        slater_decompose(AnyonState(4, 0.0, {0b0011: NAN, 0b1100: 1.0}))
