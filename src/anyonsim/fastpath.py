@@ -18,8 +18,10 @@ chunk of (input, row set) pairs.  This is exact: every skipped minor has a
 zero row or a zero column, LU returns exactly +-0 for it once the transfer
 matrix has no subnormal part, and adding +-0 leaves a running total's bits
 unchanged, so the table is bit for bit that of the full C(m, N)
-enumeration.  A segment whose cones hold more than ``_MINOR_BUDGET`` row
-sets is refused with :class:`~anyonsim.errors.PreconditionError`.
+enumeration.  Target row sets stream from the union of a sector's cones;
+a segment that would enumerate more than ``_MINOR_BUDGET`` of them, or
+evaluate more minors than that, is refused with
+:class:`~anyonsim.errors.PreconditionError`.
 
 ``PA(1, 2)`` is also admitted: its action is dense but strictly local to
 the two lowest modes (they have no modes to their left), so evolution
@@ -144,38 +146,22 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
     return complex(np.linalg.det(u.matrix[:, _occupied(x, u.m)][_occupied(y, u.m)]))
 
 
-def _sector_blocks(cones: np.ndarray, n: int, work: int):
+def _sector_blocks(cones: np.ndarray, n: int):
     """Target row sets of one particle-number sector, and the (input, target) pairs to evaluate.
 
-    ``cones[i]`` is input ``i``'s light cone as a boolean row mask, and
-    ``work`` is the sum of C(|cone|, n) over the inputs.  Yields
-    ``(rows, who, at)``: a block of target row sets in lexicographic order,
-    and the pairs whose target ``rows[at]`` lies inside input ``who``'s
-    cone, grouped by input in table order.  Targets stream from the union
-    of the cones, about ``_DET_CHUNK`` pairs per block, unless the union
-    has more than ``work`` row sets; then the distinct cones' own row sets
-    are merged by ``np.unique`` into one block.
+    ``cones[i]`` is input ``i``'s light cone as a boolean row mask.  Yields
+    ``(rows, who, at)``: a block of target row sets streamed in
+    lexicographic order from the union of the cones, about ``_DET_CHUNK``
+    pairs per block, and the pairs whose target ``rows[at]`` lies inside
+    input ``who``'s cone, grouped by input in table order.
     """
-    dtype = np.min_scalar_type(cones.shape[1])  # row indices; small, since the row-set lists may be long
-    union = np.flatnonzero(cones.any(axis=0)).tolist()
-    if math.comb(len(union), n) <= work:
-        flat_rows = chain.from_iterable(combinations(union, n))
-        per_block = max(1, _DET_CHUNK // len(cones))
-        while (flat := np.fromiter(islice(flat_rows, per_block * n), dtype=dtype)).size:
-            rows = flat.reshape(-1, n)
-            who, at = np.nonzero(cones[:, rows].all(axis=2))
-            yield rows, who, at
-        return
-    distinct, which = np.unique(cones, axis=0, return_inverse=True)
-    lists = [
-        np.fromiter(chain.from_iterable(combinations(np.flatnonzero(cone).tolist(), n)), dtype=dtype).reshape(-1, n)
-        for cone in distinct
-    ]
-    rows, slots = np.unique(np.concatenate(lists), axis=0, return_inverse=True)
-    slots = np.split(slots.ravel(), np.cumsum([len(cand) for cand in lists])[:-1])
-    which = which.ravel()
-    who = np.repeat(np.arange(len(which)), [len(slots[j]) for j in which])
-    yield rows, who, np.concatenate([slots[j] for j in which])
+    dtype = np.min_scalar_type(cones.shape[1])
+    flat_rows = chain.from_iterable(combinations(np.flatnonzero(cones.any(axis=0)).tolist(), n))
+    per_block = max(1, _DET_CHUNK // len(cones))
+    while (flat := np.fromiter(islice(flat_rows, per_block * n), dtype=dtype)).size:
+        rows = flat.reshape(-1, n)
+        who, at = np.nonzero(cones[:, rows].all(axis=2))
+        yield rows, who, at
 
 
 def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dict[int, complex]:
@@ -190,8 +176,9 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
 
     Raises InvariantBreachError if ``u`` has a subnormal part, and
     PreconditionError, before evaluating anything, if the segment would
-    evaluate more than ``_MINOR_BUDGET`` minors, counted as C(|cone|, N)
-    per input.
+    enumerate more than ``_MINOR_BUDGET`` minors: per sector, the larger of
+    the row sets of the cones' union and the sum of C(|cone|, N) over the
+    inputs.
     """
     m = u.m
     parts = np.abs(np.stack([u.matrix.real, u.matrix.imag]))
@@ -205,6 +192,7 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
     for occ in table:
         by_n.setdefault(occ.bit_count(), []).append(occ)
     sectors = {}
+    work = 0
     for n, occs in by_n.items():
         if n:
             cols = u.matrix[:, [_occupied(occ, m) for occ in occs]].transpose(1, 0, 2)  # (input, row, column)
@@ -213,11 +201,14 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             # each row's live columns as packed bits: a row set meets every
             # column when the OR of its rows' bits is all ones
             hits = np.packbits(live, axis=2)
-            sectors[n] = (cols, hits, cones, sum(math.comb(k, n) for k in cones.sum(axis=1).tolist()))
-    work = sum(sector[-1] for sector in sectors.values())
+            sectors[n] = (cols, hits, cones)
+            work += max(
+                math.comb(int(cones.any(axis=0).sum()), n),
+                sum(math.comb(k, n) for k in cones.sum(axis=1).tolist()),
+            )
     if work > _MINOR_BUDGET:
         raise PreconditionError(
-            f"the fast path would evaluate {work} minors for one segment, over the budget of {_MINOR_BUDGET}"
+            f"the fast path would enumerate {work} minors for one segment, over the budget of {_MINOR_BUDGET}"
         )
     bits = np.array([1 << k for k in range(m)], dtype=object)
     out: dict[int, complex] = {}
@@ -226,10 +217,10 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             for occ in occs:
                 out[occ] = out.get(occ, 0.0) + table[occ]
             continue
-        cols, hits, cones, sector_work = sectors[n]
+        cols, hits, cones = sectors[n]
         every_column = np.packbits(np.ones(n, dtype=bool))
         amps = np.array([table[occ] for occ in occs], dtype=complex)
-        for rows, who, at in _sector_blocks(cones, n, sector_work):
+        for rows, who, at in _sector_blocks(cones, n):
             totals = np.zeros(len(rows), dtype=complex)
             for start in range(0, len(who), _DET_CHUNK):
                 w, a = who[start : start + _DET_CHUNK], at[start : start + _DET_CHUNK]
