@@ -7,8 +7,12 @@ Subcommands
 ``schmidt``       pair normal form of a two-particle state as JSON
 ``check``         run the fast property suites
 
-Exit codes: 0 success, 2 malformed input, 3 engine/family mismatch,
-4 precondition failure, 5 internal invariant breach.
+Exit codes: 0 success, 1 a ``check`` suite failed, 2 malformed input,
+3 engine/family mismatch, 4 precondition failure, 5 internal invariant
+breach.
+
+``run --engine fastpath`` and ``schmidt`` never load scipy; the first dense
+exponential does (see :mod:`anyonsim.optics`).
 """
 
 from __future__ import annotations

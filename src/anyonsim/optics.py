@@ -19,6 +19,13 @@ it acts on the amplitude table exactly as the fermionic closed form
 ``1 - n_i - n_j + (hop)`` does at phi = 0.  For adjacent modes this equals
 the exponential of the native generator in every sector; for distant modes
 at phi != 0 the mapped action is the defining one.
+
+scipy
+-----
+Every exponential here goes through :func:`expm`, which imports
+``scipy.linalg`` on its first call.  Importing the package, ``run --engine
+fastpath`` and ``schmidt`` therefore never load scipy; the first dense gate
+or :meth:`BogoliubovPair.from_generator` does.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvariantBreachError, PreconditionError
 from .operators import (
@@ -50,6 +56,17 @@ GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
 
 #: gate exponentials check Hermiticity of the generator to this
 _HERM_ATOL = 1e-12
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(a)``, unchanged; scipy is imported on the first call.
+
+    Each later call repeats the import, a ``sys.modules`` lookup: 0.4 us
+    against 20 us for a stacked 2x2 ``expm`` (2-core host, one BLAS thread).
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)

@@ -88,3 +88,34 @@ def test_pair_normal_form_recovers_coefficients_across_the_floor(m, log_z2, seed
     assert np.max(np.abs(dec.z - z_true[: len(dec.z)])) <= 1e-12
     report = is_separable(state)
     assert report.separable == (report.slater_rank == 1)
+
+
+def two_small_pairs_state(z_small: float, phi: float = 0.0) -> AnyonState:
+    """Kets 110000, 001100, 000011 with pair coefficients (sqrt(1 - 2 z^2), z, z)."""
+    z1 = math.sqrt(1.0 - 2.0 * z_small**2)
+    return AnyonState(6, phi, {0b000011: z1, 0b001100: z_small, 0b110000: z_small})
+
+
+def test_entropy_scan_rank_follows_the_squared_tail(tmp_path, capsys):
+    # 2 * (8.6e-5)^2 = 1.48e-8 > tol: entangled, although each z is below sqrt(tol) = 1e-4;
+    # 2 * (6e-5)^2 = 7.2e-9 <= tol: separable
+    for z_small, rank, separable in ((8.6e-5, 2, False), (6e-5, 1, True)):
+        state = two_small_pairs_state(z_small)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json_dict(state)))
+        argv = ["entropy-scan", "--state", str(path), "--phi-grid", "0:3:3", "--theta-grid", "0:1:3"]
+        assert main(argv) == 0, z_small
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 9 and all(row.rsplit(",", 1)[1] == str(rank) for row in rows), z_small
+        report = is_separable(state)
+        assert (report.separable, report.slater_rank) == (separable, rank), z_small
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(z_small=st.floats(5e-5, 1.2e-4), phi=st.floats(0.0, 2 * math.pi, exclude_max=True))
+def test_rank_one_exactly_when_the_occupations_say_separable(z_small, phi):
+    report = is_separable(two_small_pairs_state(z_small, phi))  # raises if rank and verdict disagree
+    assert report.separable == (report.slater_rank == 1)
+    tail = 2.0 * z_small**2
+    if abs(tail - 1e-8) > 1e-12:
+        assert report.separable == (tail < 1e-8)

@@ -6,6 +6,7 @@ the reduced matrix in NumPy as the package once did.
 """
 
 import math
+import signal
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonsim import AnyonState, Circuit, InvariantBreachError, bs, particle_trace_rdm, ps, run_circuit
+from anyonsim import AnyonState, Circuit, InvariantBreachError, PreconditionError, bs, particle_trace_rdm, ps, run_circuit
 from anyonsim.entanglement import _chain_amplitudes, von_neumann_entropy
 from anyonsim.states import PRUNE_EPS, apply_annihilate
 
@@ -120,3 +121,20 @@ def test_x_and_y_traces_share_their_spectrum(psi):
 def test_entropy_of_density_matrix_reuses_its_spectrum(rng):
     rho = particle_trace_rdm(random_n_state(rng, 5, 2, 0.8, 10), keep="x")
     assert von_neumann_entropy(rho) == von_neumann_entropy(rho.matrix)
+
+
+def test_particle_trace_over_the_chain_budget_is_refused_before_enumerating():
+    psi = AnyonState(12, 1.3, {(1 << 12) - 1: 1.0})  # 12! = 479 001 600 chains
+
+    def enumerating(signum, frame):
+        raise TimeoutError("still running after 1 s: the chains are being enumerated")
+
+    # the alarm also stops an unbounded enumeration before it takes the host's memory
+    previous = signal.signal(signal.SIGALRM, enumerating)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(PreconditionError, match="479001600 annihilation chains"):
+            particle_trace_rdm(psi, keep=1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
