@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from operator import itemgetter
 
@@ -38,7 +37,7 @@ from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
 from .optics import Circuit, bs, circuit_from_json_dict, run_circuit
 from .presets import PRESETS
-from .states import AnyonState, max_amplitude_diff, occ_to_string, state_from_json_dict, wrap_phi
+from .states import AnyonState, check_tol, max_amplitude_diff, occ_to_string, state_from_json_dict, wrap_phi
 from .transmute import transmute_state
 
 EXIT_OK = 0
@@ -82,11 +81,6 @@ def _load_state(args) -> AnyonState:
     return state_from_json_dict(_load_json(args.state))
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise PreconditionError(f"--tol must be finite and >= 0, got {tol}")
-
-
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -94,7 +88,7 @@ def _open_out(path: str | None):
 
 
 def cmd_run(args) -> int:
-    _check_tol(args.tol)
+    check_tol("--tol", args.tol)
     state = _load_state(args)
     if args.circuit is not None:
         circuit = circuit_from_json_dict(_load_json(args.circuit))
@@ -161,7 +155,7 @@ def cmd_entropy_scan(args) -> int:
     share one :func:`is_separable` call; the particle traces depend on phi
     and run at every point.
     """
-    _check_tol(args.tol)
+    check_tol("--tol", args.tol)
     base = _load_state(args)
     circuit_data = _load_json(args.circuit) if args.circuit is not None else None
     phis = _parse_grid(args.phi_grid)

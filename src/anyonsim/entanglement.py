@@ -33,6 +33,7 @@ from .states import (
     AnyonState,
     annihilate_component,
     apply_annihilate,
+    check_tol,
     inner_product,
     occupied_modes,
     rotated_create,
@@ -310,61 +311,55 @@ def two_particle_coefficients(state: AnyonState) -> TwoParticleCoefficients:
 def _pair_block_rows(c: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows of a unitary bringing an antisymmetric matrix to 2x2-block form, and the pair count.
 
-    Reads the singular values of C, which come in equal pairs (one per
-    coefficient z), and the right singular vectors, which span the
-    eigenspaces of C+C.  Pairs are taken two values at a time, so a pair
-    is never split.  A pair whose first value is within ``_Z_FLOOR`` of
-    the previous pair's last joins its cluster, which is treated as
-    degenerate; the first pair led by a value at or below ``_Z_FLOOR``
-    starts the kernel.  Pair rows come first, then the kernel.
+    Deflates ``space``, orthonormal columns spanning what no row covers yet.
+    A pair round takes the SVD of C on the space; its values come in equal
+    pairs, one per coefficient z, taken two at a time.  The leading cluster,
+    treated as degenerate, takes each next pair led by a value above
+    ``_Z_FLOOR`` and within it of the previous pair's last.  The row u is
+    seeded at the earliest axis the cluster touches; its partner is
+    C+ conj(u) on the whole space, made orthogonal to u, so u^T C partner
+    = z and C couples the pair to no other row.  Once no pair is left above
+    ``_Z_FLOOR``, the kernel rows are seeded at the earliest axis the space
+    touches, with no SVD of C.
     """
-    m = c.shape[0]
-    _, sing, vh = np.linalg.svd(c)
-    vecs = vh.conj().T
+    space = np.eye(c.shape[0], dtype=complex)
     rows: list[np.ndarray] = []
-    lo = 0
-    while lo + 1 < m and sing[lo] > _Z_FLOOR:
-        hi = lo + 2
-        while hi + 1 < m and _Z_FLOOR < sing[hi] and sing[hi - 1] - sing[hi] <= _Z_FLOOR:
-            hi += 2
-        rows.extend(_axis_rows(vecs[:, lo:hi], c, sing[lo]))
-        lo = hi
-    n_pairs = len(rows) // 2
-    rows.extend(_axis_rows(vecs[:, lo:]))
-    return np.array(rows), n_pairs
-
-
-def _axis_rows(space: np.ndarray, c: np.ndarray | None = None, z: float = 0.0) -> list[np.ndarray]:
-    """Deterministic orthonormal rows spanning the columns of ``space``.
-
-    Each step seeds a unit vector at the earliest coordinate axis the
-    remaining span touches, the tie-break inside a degenerate span, and
-    deflates it away.  Given a pair matrix ``c`` with singular value ``z``
-    on the span, each seed u is followed by its partner: C+ conj(u)
-    projected onto the span and made orthogonal to u, so u^T C partner = z.
-    The projection drops what rounding in u leaks in from larger singular
-    values, which C+ amplifies by their ratio to z.
-    """
-    rows: list[np.ndarray] = []
-    while space.shape[1] > 0:
-        k = int(np.nonzero(np.sum(np.abs(space) ** 2, axis=1) > 1e-9)[0][0])
-        u = space @ space[k].conj()
-        found = [u / np.linalg.norm(u)]
-        if c is not None:
-            w = space @ (space.conj().T @ (c.conj().T @ found[0].conj()))
-            nr = np.linalg.norm(w)
-            w = w - (found[0].conj() @ w) * found[0]
-            nw = np.linalg.norm(w)
-            if not (nr >= 0.5 * z and nw >= 0.5 * nr):
+    n_pairs = 0
+    pairing = True
+    while space.shape[1]:
+        seeds = space
+        if pairing:
+            _, sing, vh = np.linalg.svd(c @ space, full_matrices=False)
+            pairing = sing[0] > _Z_FLOOR
+        if pairing:
+            hi = 2
+            while hi + 1 < len(sing) and _Z_FLOOR < sing[hi] and sing[hi - 1] - sing[hi] <= _Z_FLOOR:
+                hi += 2
+            seeds = space @ vh[:hi].conj().T
+        k = int(np.argmax(np.einsum("ij,ij->i", seeds, seeds.conj()).real > 1e-9))
+        u = seeds @ seeds[k].conj()
+        u /= math.sqrt(np.vdot(u, u).real)
+        found = [u]
+        if pairing:
+            w = space @ (space.conj().T @ (c.conj().T @ u.conj()))
+            nr = math.sqrt(np.vdot(w, w).real)
+            w -= np.vdot(u, w) * u
+            nw = math.sqrt(np.vdot(w, w).real)
+            if not (nr >= 0.5 * sing[0] and nw >= 0.5 * nr):
                 raise InvariantBreachError("pairing partner collapsed; antisymmetric structure violated")
             found.append(w / nw)
-        rest = space - sum(np.outer(v, v.conj() @ space) for v in found)
-        left, sing, _ = np.linalg.svd(rest, full_matrices=False)
-        space = left[:, sing > 0.5]
+            n_pairs += 1
+            pairing = len(sing) > 3 and sing[2] > _Z_FLOOR
+        rows.extend(found)
+        if len(found) == space.shape[1]:
+            break  # the rows fill the space: nothing is left to deflate
+        new = np.array(found)
+        rest = space - new.T @ (new.conj() @ space)
+        left, sv, _ = np.linalg.svd(rest, full_matrices=False)
+        space = left[:, sv > 0.5]
         if space.shape[1] != rest.shape[1] - len(found):
             raise InvariantBreachError("deflation lost orthogonal directions")
-        rows.extend(found)
-    return rows
+    return np.array(rows), n_pairs
 
 
 def slater_decompose(state: AnyonState, rank_tol: float = _Z_FLOOR) -> SlaterDecomposition:
@@ -379,7 +374,9 @@ def slater_decompose(state: AnyonState, rank_tol: float = _Z_FLOOR) -> SlaterDec
     it, which the floor calls zero.  The rank is the fewest leading pairs
     whose tail sqrt(sum_{k>rank} z_k^2) is at most ``rank_tol``; at the
     default every returned coefficient exceeds it, so all of them count.
+    A ``rank_tol`` that is negative or not finite raises PreconditionError.
     """
+    check_tol("rank_tol", rank_tol)
     coeffs = two_particle_coefficients(state)
     c = coeffs.matrix
     u_mat, n_pairs = _pair_block_rows(c)
@@ -440,8 +437,10 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     cross-checked: the occupations of the pair modes are z_k^2, so the
     state is separable iff sum_{k>=2} z_k^2 <= ``tol``, and the rank is
     taken with ``rank_tol`` = sqrt(``tol``) on that tail, which makes it 1
-    exactly then.
+    exactly then.  A ``tol`` that is negative or not finite raises
+    PreconditionError.
     """
+    check_tol("tol", tol)
     modes = minimal_entropy_modes(state)
     sep = bool(np.all(np.abs(modes.occupations - np.round(modes.occupations)) <= tol))
     rank: int | None = None

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import FamilyMismatchError, InvariantBreachError, ParticleNumberMismatch, PreconditionError
 from .optics import Circuit, GateElement
-from .states import AnyonState, check_norm_kept, prune, same_sector
+from .states import AnyonState, check_norm_kept, check_occs, prune, same_sector
 
 _UNITARY_ATOL = 1e-10
 #: (input, row set) pairs per stacked determinant call in :func:`_evolve_nc_block`
@@ -132,7 +132,9 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
 
     Configurations with different particle numbers have amplitude zero;
     that case is flagged with a :class:`ParticleNumberMismatch` warning.
+    Raises PreconditionError for a bitmask outside ``0 <= x < 2**m``.
     """
+    check_occs(u.m, (x, y))
     n_x, n_y = x.bit_count(), y.bit_count()
     if n_x != n_y:
         warnings.warn(
@@ -292,5 +294,6 @@ def anyonic_amplitude_via_fastpath(circuit: Circuit, x: int, y: int) -> complex:
     check_family(circuit, allow_pa=True)
     if not any(g.kind == "PA" for g in circuit.gates):
         return amplitude_number_conserving(compile_single_particle(circuit), x, y)
+    check_occs(circuit.m, (x, y))
     evolved = _evolve_table({x: 1.0 + 0.0j}, circuit)
     return complex(evolved.get(y, 0.0))

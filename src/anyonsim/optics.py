@@ -49,7 +49,7 @@ from .operators import (
     orbits,
     pair_source,
 )
-from .states import AnyonState, check_mode, check_norm_kept, prune, rotated_create, same_sector
+from .states import AnyonState, check_mode, check_norm_kept, json_int, prune, rotated_create, same_sector
 from .transmute import anyonize, fermionize
 
 GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
@@ -359,12 +359,12 @@ def circuit_from_json_dict(data: dict) -> Circuit:
         gates.append(
             GateElement(
                 entry["kind"],
-                int(entry["i"]),
-                int(entry["j"]) if "j" in entry and entry["j"] is not None else None,
+                json_int("i", entry["i"]),
+                json_int("j", entry["j"]) if "j" in entry and entry["j"] is not None else None,
                 float(entry["theta"]) if "theta" in entry and entry["theta"] is not None else None,
             )
         )
-    return Circuit(int(data["m"]), float(data["phi"]), tuple(gates))
+    return Circuit(json_int("m", data["m"]), float(data["phi"]), tuple(gates))
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,27 @@ def check_mode(m: int, i: int) -> None:
         raise PreconditionError(f"mode index {i} out of range 1..{m}")
 
 
+def check_occs(m: int, occs: Iterable[int]) -> None:
+    """Raise PreconditionError unless every bitmask in ``occs`` is a configuration of m modes."""
+    top = 1 << m
+    for occ in occs:
+        if not 0 <= occ < top:
+            raise PreconditionError(f"occupation bitmask {occ} does not fit {m} modes")
+
+
+def check_tol(name: str, tol: float) -> None:
+    """Raise PreconditionError unless tolerance ``tol`` is finite and nonnegative (NaN fails)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"{name} must be finite and >= 0, got {tol}")
+
+
+def json_int(name: str, value) -> int:
+    """An integer field of a JSON input; a boolean or a number with a fractional part is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AnyonState:
     """A pure state of fermionic anyons as a sparse amplitude table.
@@ -126,10 +147,7 @@ class AnyonState:
             raise PreconditionError(f"mode count must be >= 1, got {self.m}")
         if not 0.0 <= self.phi < TWO_PI:
             raise PreconditionError(f"statistical parameter must lie in [0, 2*pi), got {self.phi}")
-        top = 1 << self.m
-        for occ in self.amplitudes:
-            if not 0 <= occ < top:
-                raise PreconditionError(f"occupation bitmask {occ} does not fit {self.m} modes")
+        check_occs(self.m, self.amplitudes)
 
     def amplitude(self, occ: int | str) -> complex:
         if isinstance(occ, str):
@@ -305,7 +323,7 @@ def state_to_json_dict(state: AnyonState) -> dict:
 
 def state_from_json_dict(data: dict) -> AnyonState:
     """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as the CLI's ``--phi`` is."""
-    m = int(data["m"])
+    m = json_int("m", data["m"])
     phi = wrap_phi(float(data["phi"]))
     table: dict[int, complex] = {}
     for entry in data["amplitudes"]:

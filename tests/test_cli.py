@@ -299,3 +299,50 @@ def test_fastpath_over_the_minor_budget_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{math.comb(m, m // 2)} minors" in err and "budget" in err
     assert not out.exists()
+
+
+def circuit_with(field, value):
+    """A BS(1, 2) circuit over 4 modes with one field replaced; setting ``j`` moves ``i`` to 2, so j = 1 is a valid gate."""
+    data = {"m": 4, "phi": 0.0, "gates": [{"kind": "BS", "i": 1, "j": 2, "theta": 0.4}]}
+    if field == "m":
+        data["m"] = value
+    else:
+        data["gates"][0][field] = value
+        if field == "j":
+            data["gates"][0]["i"] = 2
+    return data
+
+
+@pytest.mark.parametrize("field, value", [("m", 4.7), ("i", 1.9), ("j", 1.5), ("i", True), ("j", True)])
+def test_circuit_index_that_is_not_an_integer_exits_2(tmp_path, capsys, field, value):
+    circ = write_json(tmp_path / "c.json", circuit_with(field, value))
+    out = tmp_path / "amps.csv"
+    assert main(["run", "--preset", "split-pair", "--circuit", circ, "--out", str(out)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m, occ", [(4.7, "1100"), (True, "1")])
+def test_state_mode_count_that_is_not_an_integer_exits_2(tmp_path, capsys, m, occ):
+    state = write_json(tmp_path / "s.json", {"m": m, "phi": 0.0, "amplitudes": [{"occ": occ, "re": 1.0, "im": 0.0}]})
+    assert main(["run", "--state", state]) == 2
+    assert "m must be an integer" in capsys.readouterr().err
+
+
+def test_circuit_with_a_bool_mode_count_exits_2(tmp_path, capsys):
+    state = write_json(tmp_path / "s.json", {"m": 1, "phi": 0.0, "amplitudes": [{"occ": "1", "re": 1.0, "im": 0.0}]})
+    circ = write_json(tmp_path / "c.json", {"m": True, "phi": 0.0, "gates": []})
+    assert main(["run", "--state", state, "--circuit", circ]) == 2
+    assert "m must be an integer" in capsys.readouterr().err
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    state = state_to_json_dict(split_pair(0.0))
+    as_ints, as_floats = tmp_path / "ints.csv", tmp_path / "floats.csv"
+    circ = write_json(tmp_path / "c.json", circuit_with("m", 4))
+    assert main(["run", "--state", write_json(tmp_path / "s.json", state), "--circuit", circ, "--out", str(as_ints)]) == 0
+    state["m"] = 4.0
+    circuit = {"m": 4.0, "phi": 0.0, "gates": [{"kind": "BS", "i": 1.0, "j": 2.0, "theta": 0.4}]}
+    circ = write_json(tmp_path / "c.json", circuit)
+    assert main(["run", "--state", write_json(tmp_path / "s.json", state), "--circuit", circ, "--out", str(as_floats)]) == 0
+    assert as_floats.read_bytes() == as_ints.read_bytes()

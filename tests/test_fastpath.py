@@ -5,6 +5,7 @@ from anyonsim import (
     Circuit,
     FamilyMismatchError,
     ParticleNumberMismatch,
+    PreconditionError,
     amplitude_number_conserving,
     anyonic_amplitude_via_fastpath,
     basis_state,
@@ -81,6 +82,17 @@ def test_particle_number_mismatch_flagged():
     with pytest.warns(ParticleNumberMismatch):
         amp = amplitude_number_conserving(u, 0b001, 0b011)
     assert amp == 0.0
+
+
+@pytest.mark.parametrize("x, y", [(1 << 5, 1 << 6), (-1, 0b0011), (0b0011, 1 << 4), (0b0011, -3)])
+@pytest.mark.parametrize("gates", [(bs(1, 2, 0.3),), (bs(1, 2, 0.3), pa(1, 2, 0.2))])
+def test_configurations_outside_the_modes_are_refused(x, y, gates):
+    circuit = Circuit(4, 0.0, gates)
+    with pytest.raises(PreconditionError, match="does not fit 4 modes"):
+        anyonic_amplitude_via_fastpath(circuit, x, y)
+    if len(gates) == 1:
+        with pytest.raises(PreconditionError, match="does not fit 4 modes"):
+            amplitude_number_conserving(compile_single_particle(circuit), x, y)
 
 
 def test_determinant_matches_dense(rng):

@@ -9,7 +9,7 @@ import anyonsim.optics as optics_mod
 from anyonsim import AnyonState, Circuit, InvariantBreachError, bs, circuit_to_json_dict, run_circuit, run_circuit_fastpath
 from anyonsim import fastpath
 from anyonsim.cli import main
-from anyonsim.entanglement import DensityMatrix, slater_decompose, von_neumann_entropy
+from anyonsim.entanglement import DensityMatrix, is_separable, slater_decompose, von_neumann_entropy
 from anyonsim.errors import PreconditionError
 from anyonsim.states import prune
 
@@ -82,3 +82,13 @@ def test_entropy_of_a_raw_nan_matrix_is_rejected():
 def test_pair_coefficients_with_nan_are_rejected():
     with pytest.raises(InvariantBreachError, match="antisymmetric"):
         slater_decompose(AnyonState(4, 0.0, {0b0011: NAN, 0b1100: 1.0}))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_separability_tolerances_must_be_finite_and_nonnegative(tol):
+    state = AnyonState(4, 0.0, {0b0011: 0.6, 0b1100: 0.8})
+    with pytest.raises(PreconditionError, match="tol must be finite"):
+        slater_decompose(state, rank_tol=tol)
+    with pytest.raises(PreconditionError, match="tol must be finite"):
+        is_separable(state, tol=tol)
+    assert is_separable(state, tol=0.0).slater_rank == slater_decompose(state, rank_tol=0.0).rank == 2

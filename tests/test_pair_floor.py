@@ -119,3 +119,38 @@ def test_rank_one_exactly_when_the_occupations_say_separable(z_small, phi):
     tail = 2.0 * z_small**2
     if abs(tail - 1e-8) > 1e-12:
         assert report.separable == (tail < 1e-8)
+
+
+def close_pair_state(trial: int, rng: np.random.Generator) -> tuple[AnyonState, list[float]]:
+    """Two coefficients near 0.7, 1e-8 to 1e-6 apart (plus 0.3 at m >= 6), on a random m-mode rotation."""
+    m = 4 + trial % 5
+    gap = 10 ** rng.uniform(-8, -6)
+    zs = [0.7, 0.7 - gap] + ([0.3] if m >= 6 else [])
+    norm = math.sqrt(sum(z * z for z in zs))
+    zs = [z / norm for z in zs]
+    return rotated_pair_state(m, zs, rng), zs
+
+
+def close_pair_states() -> list[tuple[AnyonState, list[float]]]:
+    rng = np.random.default_rng(0)
+    return [close_pair_state(trial, rng) for trial in range(200)]
+
+
+def test_close_but_distinct_coefficients_are_recovered():
+    # a separate cluster's singular subspace is off by about eps/gap; the
+    # partner C+ conj(u), taken on the whole uncovered space, keeps the
+    # block check at rounding level anyway
+    for trial, (state, zs) in enumerate(close_pair_states()):
+        dec = slater_decompose(state)
+        assert np.max(np.abs(dec.z - zs)) <= 1e-12, trial
+        report = is_separable(state)
+        assert (report.separable, report.slater_rank) == (False, len(zs)), trial
+
+
+def test_schmidt_of_close_coefficients_exits_0(tmp_path, capsys):
+    state, zs = close_pair_states()[166]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(state)))
+    assert main(["schmidt", "--state", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert np.allclose(report["z"], zs, rtol=0.0, atol=1e-12)
