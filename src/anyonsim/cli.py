@@ -35,7 +35,7 @@ from .entanglement import (
 )
 from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
-from .optics import Circuit, bs, circuit_from_json_dict, run_circuit
+from .optics import Circuit, bs, circuit_from_json_dict, run_circuit, scan_scope
 from .presets import PRESETS
 from .states import AnyonState, check_tol, max_amplitude_diff, occ_to_string, state_from_json_dict, wrap_phi
 from .transmute import transmute_state
@@ -154,6 +154,13 @@ def cmd_entropy_scan(args) -> int:
     table and ``--tol``, so points whose evolved tables are bit-identical
     share one :func:`is_separable` call; the particle traces depend on phi
     and run at every point.
+
+    The grid loop runs inside one :func:`~anyonsim.optics.scan_scope`:
+    every point still builds and checks its own generator matrices, but a
+    gate whose terms reach the same kets in the same order as at an earlier
+    point reuses that point's orbit plan, and an orbit block with the same
+    bytes reuses its exponential.  Both depend on nothing else, so every
+    row keeps its bits.  The scope closes when the loop ends or raises.
     """
     check_tol("--tol", args.tol)
     base = _load_state(args)
@@ -162,25 +169,26 @@ def cmd_entropy_scan(args) -> int:
     thetas = _parse_grid(args.theta_grid)
     reports: dict[tuple[tuple[int, ...], bytes], SeparabilityReport] = {}
     rows = []
-    for phi in phis:
-        phi = float(phi)
-        sector = wrap_phi(phi)
-        state = transmute_state(base, sector)
-        for theta in thetas:
-            theta = float(theta)
-            if circuit_data is not None:
-                circ = _bind_theta(circuit_data, theta, sector)
-            else:
-                circ = Circuit(state.m, sector, (bs(1, 2, theta),))
-            evolved = run_circuit(state, circ)
-            s_x = von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))
-            s_y = von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))
-            key = _table_key(evolved)
-            report = reports.get(key)
-            if report is None:
-                report = reports[key] = is_separable(evolved, tol=args.tol)
-            rank = report.slater_rank if report.slater_rank is not None else -1
-            rows.append((phi, theta, s_x, s_y, report.e_sp, rank))
+    with scan_scope():
+        for phi in phis:
+            phi = float(phi)
+            sector = wrap_phi(phi)
+            state = transmute_state(base, sector)
+            for theta in thetas:
+                theta = float(theta)
+                if circuit_data is not None:
+                    circ = _bind_theta(circuit_data, theta, sector)
+                else:
+                    circ = Circuit(state.m, sector, (bs(1, 2, theta),))
+                evolved = run_circuit(state, circ)
+                s_x = von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))
+                s_y = von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))
+                key = _table_key(evolved)
+                report = reports.get(key)
+                if report is None:
+                    report = reports[key] = is_separable(evolved, tol=args.tol)
+                rank = report.slater_rank if report.slater_rank is not None else -1
+                rows.append((phi, theta, s_x, s_y, report.e_sp, rank))
 
     out, close = _open_out(args.out)
     try:

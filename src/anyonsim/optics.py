@@ -20,6 +20,25 @@ it acts on the amplitude table exactly as the fermionic closed form
 the exponential of the native generator in every sector; for distant modes
 at phi != 0 the mapped action is the defining one.
 
+Sharing within a scan
+---------------------
+Inside :func:`scan_scope` (``entropy-scan`` opens one around its grid),
+the dense gates share two things.  An *orbit plan* (the concatenated
+orbits and, per orbit size, their positions) is keyed on each term's
+ladder factors in order and the state's kets in table order: which ket a
+term reaches reads neither a phase nor a coefficient, so equal keys give
+equal plans.  A *block exponential* is keyed on the exact bytes of an
+``(s, s)`` orbit block: ``expm`` exponentiates each slice of a stack on
+its own, so a block met again gets the bits it got the first time.  Every
+gate still builds its generator matrix, checks it Hermitian and prunes
+its output, and every circuit still checks its norm.  The scope lives in a
+:class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
+or raises, so nothing is kept across commands.  Outside a scope a gate
+only pays the ``ContextVar.get()``.
+
+A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets raises
+PreconditionError before its generator matrix is allocated.
+
 scipy
 -----
 Every exponential here goes through :func:`expm`, which imports
@@ -31,9 +50,11 @@ or :meth:`BogoliubovPair.from_generator` does.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,13 +70,15 @@ from .operators import (
     orbits,
     pair_source,
 )
-from .states import AnyonState, check_mode, check_norm_kept, json_int, prune, rotated_create, same_sector
+from .states import AnyonState, check_mode, check_norm_kept, json_float, json_int, prune, rotated_create, same_sector
 from .transmute import anyonize, fermionize
 
 GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
 
 #: gate exponentials check Hermiticity of the generator to this
 _HERM_ATOL = 1e-12
+#: largest orbit basis a dense gate builds its d x d generator on (1 GiB of complex128)
+ORBIT_BASIS_MAX = 8192
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -67,6 +90,45 @@ def expm(a: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
+
+
+class _ScanScope:
+    """Orbit plans and block exponentials shared by the gates of one scan; see :func:`scan_scope`."""
+
+    def __init__(self) -> None:
+        #: (each term's ladder factors, the kets in table order) -> :func:`_orbit_plan`
+        self.plans: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
+        #: exact bytes of an (s, s) block -> its exponential
+        self.blocks: dict[bytes, np.ndarray] = {}
+
+    def exponentials(self, stack: np.ndarray) -> np.ndarray:
+        """``expm`` of each slice of a C-contiguous stack of byte-distinct blocks; only blocks new to the scope reach ``expm``."""
+        raw, step = stack.tobytes(), stack[0].nbytes
+        keys = [raw[k * step : (k + 1) * step] for k in range(len(stack))]
+        fresh = [k for k, key in enumerate(keys) if key not in self.blocks]
+        if fresh:
+            self.blocks.update(zip([keys[k] for k in fresh], expm(stack[fresh])))
+        return np.array([self.blocks[key] for key in keys])
+
+
+_SCAN_SCOPE: ContextVar[_ScanScope | None] = ContextVar("anyonsim_scan_scope", default=None)
+
+
+@contextmanager
+def scan_scope() -> Iterator[_ScanScope]:
+    """Share orbit plans and block exponentials among the dense gates run inside the ``with`` block.
+
+    Exact: a plan depends only on which kets each term reaches, and
+    ``expm`` exponentiates every slice of a stack on its own, so a reused
+    plan or block gives the bits a fresh one would.  The scope ends with
+    the block, also when it raises; nothing is kept across scopes.
+    """
+    scope = _ScanScope()
+    token = _SCAN_SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCAN_SCOPE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -201,6 +263,20 @@ def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) 
     return AnyonState(state.m, state.phi, prune(out))
 
 
+def _orbit_plan(expr: OperatorExpr, phi: float, kets) -> tuple[list[int], list[np.ndarray]]:
+    """The concatenated orbits of ``kets`` under ``expr`` and, per orbit size, an (orbits, size) array of their positions.
+
+    Only which kets each term reaches enters (:func:`~anyonsim.operators.orbits`),
+    never a phase or a coefficient.
+    """
+    basis: list[int] = []
+    starts: dict[int, list[int]] = {}  # orbit size -> positions in basis where such orbits start
+    for orbit in orbits(expr, phi, kets):
+        starts.setdefault(len(orbit), []).append(len(basis))
+        basis.extend(orbit)
+    return basis, [np.array(first)[:, None] + np.arange(size) for size, first in starts.items()]
+
+
 def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     """exp(i * expr) on the orbits of the state's kets under ``expr``.
 
@@ -209,24 +285,33 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     byte-distinct blocks to ``expm``, which exponentiates every slice on its
     own, so a repeated block gets the bits it would get alone.  Hermiticity
     is checked on the whole matrix, which also bounds every entry outside
-    the blocks by ``_HERM_ATOL``.
+    the blocks by ``_HERM_ATOL``.  Inside :func:`scan_scope` the orbit plan
+    and the block exponentials come from the scope when it holds them.
     """
     if not state.amplitudes:
         return state
-    basis: list[int] = []
-    starts: dict[int, list[int]] = {}  # orbit size -> positions in basis where such orbits start
-    for orbit in orbits(expr, state.phi, state.amplitudes):
-        starts.setdefault(len(orbit), []).append(len(basis))
-        basis.extend(orbit)
+    scope = _SCAN_SCOPE.get()
+    if scope is None:
+        basis, stacks = _orbit_plan(expr, state.phi, state.amplitudes)
+    else:
+        key = (tuple(term.factors for term in expr.terms), tuple(state.amplitudes))
+        plan = scope.plans.get(key)
+        if plan is None:
+            plan = scope.plans[key] = _orbit_plan(expr, state.phi, state.amplitudes)
+        basis, stacks = plan
+    if len(basis) > ORBIT_BASIS_MAX:
+        raise PreconditionError(
+            f"gate orbit basis has d = {len(basis)} kets, over the dense budget of {ORBIT_BASIS_MAX}: "
+            f"its d x d generator would take {16 * len(basis) ** 2 / 2**30:.1f} GiB"
+        )
     h = operator_matrix(expr, state.phi, basis)
     if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
         raise InvariantBreachError("gate generator is not Hermitian on its orbits")
     vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
-    for size, first in starts.items():
-        idx = np.array(first)[:, None] + np.arange(size)  # (orbits, size) positions in basis
+    for idx in stacks:
         blocks = 1j * h[idx[:, :, None], idx[:, None, :]]
         picks, inverse = _distinct_slices(blocks)
-        u = expm(blocks[picks])[inverse]
+        u = (expm(blocks[picks]) if scope is None else scope.exponentials(blocks[picks]))[inverse]
         vec[idx] = np.einsum("kab,kb->ka", u, vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
 
@@ -361,10 +446,10 @@ def circuit_from_json_dict(data: dict) -> Circuit:
                 entry["kind"],
                 json_int("i", entry["i"]),
                 json_int("j", entry["j"]) if "j" in entry and entry["j"] is not None else None,
-                float(entry["theta"]) if "theta" in entry and entry["theta"] is not None else None,
+                json_float("theta", entry["theta"]) if "theta" in entry and entry["theta"] is not None else None,
             )
         )
-    return Circuit(json_int("m", data["m"]), float(data["phi"]), tuple(gates))
+    return Circuit(json_int("m", data["m"]), json_float("phi", data["phi"]), tuple(gates))
 
 
 @dataclass(frozen=True)

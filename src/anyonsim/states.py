@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -122,11 +123,30 @@ def check_tol(name: str, tol: float) -> None:
         raise PreconditionError(f"{name} must be finite and >= 0, got {tol}")
 
 
+def _json_number(value) -> bool:
+    """Whether a parsed JSON value is a number; booleans are not, although Python counts them.
+
+    The exact-type test answers for everything ``json`` parses, without the
+    1 us ``numbers.Real`` check per amplitude.
+    """
+    return type(value) in (int, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
 def json_int(name: str, value) -> int:
-    """An integer field of a JSON input; a boolean or a number with a fractional part is refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer field of a JSON input; a non-number, a boolean or a fractional part is refused."""
+    if not _json_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_float(name: str, value) -> float:
+    """A real field of a JSON input; anything but a number (``null``, a list, a string, a boolean) is refused.
+
+    Non-finite values pass: the caller decides what they mean.
+    """
+    if not _json_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -324,13 +344,15 @@ def state_to_json_dict(state: AnyonState) -> dict:
 def state_from_json_dict(data: dict) -> AnyonState:
     """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as the CLI's ``--phi`` is."""
     m = json_int("m", data["m"])
-    phi = wrap_phi(float(data["phi"]))
+    phi = wrap_phi(json_float("phi", data["phi"]))
     table: dict[int, complex] = {}
     for entry in data["amplitudes"]:
+        if not isinstance(entry["occ"], str):
+            raise ValueError(f"occ must be a string of 0s and 1s, got {entry['occ']!r}")
         occ = occ_from_string(entry["occ"])
         if len(entry["occ"]) != m:
             raise PreconditionError(f"occupation {entry['occ']!r} does not have {m} modes")
-        amp = complex(float(entry["re"]), float(entry["im"]))
+        amp = complex(json_float("re", entry["re"]), json_float("im", entry["im"]))
         if not cmath.isfinite(amp):
             raise PreconditionError(f"amplitude of {entry['occ']!r} is not finite: {amp}")
         table[occ] = table.get(occ, 0.0) + amp
