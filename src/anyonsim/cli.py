@@ -35,7 +35,7 @@ from .entanglement import (
 )
 from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
-from .optics import Circuit, bs, circuit_from_json_dict, run_circuit, scan_scope
+from .optics import Circuit, GateElement, bs, circuit_from_json_dict, run_circuit, scan_scope
 from .presets import PRESETS
 from .states import AnyonState, check_tol, max_amplitude_diff, occ_to_string, state_from_json_dict, wrap_phi
 from .transmute import transmute_state
@@ -128,14 +128,35 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bind_theta(circuit_data: dict, theta: float, phi: float) -> Circuit:
+def _scan_template(circuit_data: dict, theta: float, phi: float) -> tuple[Circuit, list[int]]:
+    """The circuit in sector ``phi`` with ``theta`` at every null angle, parsed and validated, and the positions of those gates.
+
+    Only PS, BS and PA gates take the scan angle; :func:`_rebind_theta`
+    moves the template to another grid point.
+    """
     gates = []
+    slots = []
     for entry in circuit_data["gates"]:
         entry = dict(entry)
         if entry["kind"] in ("PS", "BS", "PA") and entry.get("theta") is None:
             entry["theta"] = theta
+            slots.append(len(gates))
         gates.append(entry)
-    return circuit_from_json_dict({"m": circuit_data["m"], "phi": phi, "gates": gates})
+    return circuit_from_json_dict({"m": circuit_data["m"], "phi": phi, "gates": gates}), slots
+
+
+def _bind_theta(circuit_data: dict, theta: float, phi: float) -> Circuit:
+    """The circuit in sector ``phi`` with ``theta`` at every null angle (:func:`_scan_template` without the positions)."""
+    return _scan_template(circuit_data, theta, phi)[0]
+
+
+def _rebind_theta(template: Circuit, slots: list[int], theta: float, phi: float) -> Circuit:
+    """``template`` in sector ``phi`` with ``theta`` at the gates in ``slots``; :class:`GateElement` still validates each angle."""
+    gates = list(template.gates)
+    for k in slots:
+        gate = gates[k]
+        gates[k] = GateElement(gate.kind, gate.i, gate.j, theta)
+    return Circuit(template.m, phi, tuple(gates))
 
 
 def _table_key(state: AnyonState) -> tuple[tuple[int, ...], bytes]:
@@ -161,12 +182,16 @@ def cmd_entropy_scan(args) -> int:
     point reuses that point's orbit plan, and an orbit block with the same
     bytes reuses its exponential.  Both depend on nothing else, so every
     row keeps its bits.  The scope closes when the loop ends or raises.
+
+    A ``--circuit`` is parsed and validated once, at the first point; every
+    later point builds new gates only where the circuit has a null angle.
     """
     check_tol("--tol", args.tol)
     base = _load_state(args)
     circuit_data = _load_json(args.circuit) if args.circuit is not None else None
     phis = _parse_grid(args.phi_grid)
     thetas = _parse_grid(args.theta_grid)
+    template = slots = None
     reports: dict[tuple[tuple[int, ...], bytes], SeparabilityReport] = {}
     rows = []
     with scan_scope():
@@ -177,7 +202,9 @@ def cmd_entropy_scan(args) -> int:
             for theta in thetas:
                 theta = float(theta)
                 if circuit_data is not None:
-                    circ = _bind_theta(circuit_data, theta, sector)
+                    if template is None:  # parsed and validated once, where the first point needs it
+                        template, slots = _scan_template(circuit_data, theta, sector)
+                    circ = _rebind_theta(template, slots, theta, sector)
                 else:
                     circ = Circuit(state.m, sector, (bs(1, 2, theta),))
                 evolved = run_circuit(state, circ)

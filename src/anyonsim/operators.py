@@ -7,6 +7,20 @@ term in this trailing-diagonal canonical form makes products, adjoints and
 statistics transmutation purely mechanical: commuting a diagonal rightward
 through a ladder factor only shifts the weight seen at that factor's mode
 by one unit, which contributes a scalar phase.
+
+Every action of a term on a basis ket goes through one kernel.  Each call
+of :func:`apply_operator_expr`, :func:`orbits` or :func:`operator_matrix`
+flattens the terms once into bit masks (:func:`_term_shape`): which kets a
+term acts on, the ket it sends each to, and per factor the modes below it.
+A factor that crosses ``c`` occupied modes contributes the reordering phase
+``-exp(-i*phi)`` to the power ``c`` (conjugated for an annihilator), with
+``0 <= c < m``; the phase is read from a table of
+:func:`~anyonsim.states.reorder_phase` over ``c = 0..m-1`` and its
+conjugates, built per call.  The table holds the very values a call per
+factor would return, and :func:`_act` multiplies them in the same order,
+so every matrix element and amplitude keeps its bits.  Nothing is kept
+across calls, so the table follows ``states._REORDER_SIGN`` as the
+exchange-relation audit sets it.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .states import AnyonState, annihilate_component, create_component, prune
+from .states import AnyonState, prune, reorder_phase
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -131,62 +145,109 @@ def annihilation(m: int, i: int) -> OperatorExpr:
     return OperatorExpr(m, (LadderTerm(1.0 + 0.0j, ((i, ANNIHILATE),)),))
 
 
-def number(m: int, i: int) -> OperatorExpr:
-    return OperatorExpr(m, (LadderTerm(1.0 + 0.0j, ((i, CREATE), (i, ANNIHILATE))),))
+def number(m: int, i: int, coefficient: complex = 1.0 + 0.0j) -> OperatorExpr:
+    """``coefficient`` times the number operator a+_i a_i."""
+    return OperatorExpr(m, (LadderTerm(coefficient, ((i, CREATE), (i, ANNIHILATE))),))
 
 
-def hopping(m: int, i: int, j: int) -> OperatorExpr:
-    """The Hermitian hop a+_i a_j + a+_j a_i."""
+def hopping(m: int, i: int, j: int, coefficient: complex = 1.0 + 0.0j) -> OperatorExpr:
+    """``coefficient`` times the hop a+_i a_j + a+_j a_i (Hermitian for a real coefficient)."""
     return OperatorExpr(
         m,
         (
-            LadderTerm(1.0 + 0.0j, ((i, CREATE), (j, ANNIHILATE))),
-            LadderTerm(1.0 + 0.0j, ((j, CREATE), (i, ANNIHILATE))),
+            LadderTerm(coefficient, ((i, CREATE), (j, ANNIHILATE))),
+            LadderTerm(coefficient, ((j, CREATE), (i, ANNIHILATE))),
         ),
     )
 
 
-def pair_source(m: int, i: int, j: int) -> OperatorExpr:
-    """The Hermitian pair term a+_i a+_j + a_j a_i."""
+def pair_source(m: int, i: int, j: int, coefficient: complex = 1.0 + 0.0j) -> OperatorExpr:
+    """``coefficient`` times the pair term a+_i a+_j + a_j a_i (Hermitian for a real coefficient)."""
     return OperatorExpr(
         m,
         (
-            LadderTerm(1.0 + 0.0j, ((i, CREATE), (j, CREATE))),
-            LadderTerm(1.0 + 0.0j, ((j, ANNIHILATE), (i, ANNIHILATE))),
+            LadderTerm(coefficient, ((i, CREATE), (j, CREATE))),
+            LadderTerm(coefficient, ((j, ANNIHILATE), (i, ANNIHILATE))),
         ),
     )
 
 
-def _term_target(occ: int, term: LadderTerm) -> int | None:
-    """The ket a term sends ``occ`` to, or None when a factor kills it; no phase is computed.
+def _term_shape(term: LadderTerm) -> tuple[int, int, int, list[tuple[int, int, bool]]] | None:
+    """Which kets a term acts on, where it sends them and what its factors cross; None if it acts on none.
 
-    A creator needs its mode empty and an annihilator needs it occupied;
-    either flips the mode's bit.
+    Returns ``(mask, need, flip, steps)``.  The term acts on ``occ``
+    exactly when ``occ & mask == need``: ``mask`` holds the modes its
+    factors touch and ``need`` those that must be occupied before it acts
+    (read factor by factor from the right: a creator needs its mode empty,
+    an annihilator needs it occupied).  It sends ``occ`` to ``occ ^ flip``.
+    A term such as ``a_i a_i`` acts on no ket.
+
+    ``steps`` lists ``(below, offset, creates)`` in the order the factors
+    act.  The factor's crossing count, the number of modes below it that
+    are occupied when it acts, is ``(occ & below).bit_count() + offset``:
+    ``below`` holds the modes below it that the term does not touch, and
+    ``offset`` counts the touched modes below it that are occupied at that
+    point, which ``need`` fixes.
     """
-    for mode, kind in reversed(term.factors):
-        bit = 1 << (mode - 1)
-        if (occ & bit == 0) != (kind == CREATE):
+    factors = [(1 << (mode - 1), kind == CREATE) for mode, kind in reversed(term.factors)]
+    mask = need = 0
+    for bit, creates in factors:
+        if not mask & bit:
+            mask |= bit
+            need |= 0 if creates else bit
+    now = need  # the touched modes occupied when the next factor acts
+    steps = []
+    for bit, creates in factors:
+        if bool(now & bit) == creates:
             return None
-        occ ^= bit
-    return occ
+        steps.append(((bit - 1) & ~mask, (now & (bit - 1)).bit_count(), creates))
+        now ^= bit
+    return mask, need, need ^ now, steps
 
 
-def _apply_term_component(phi: float, occ: int, amp: complex, term: LadderTerm) -> tuple[int, complex] | None:
-    """The ket and amplitude a term sends ``amp |occ>`` to, or None when a factor kills it."""
-    a = amp * term.coefficient
-    diag = 0.0
-    for mode, w in term.weights.items():
-        if occ >> (mode - 1) & 1:
-            diag += w
-    if diag:
-        a *= cmath.exp(1j * diag)
-    for mode, kind in reversed(term.factors):
-        step = create_component(phi, occ, mode) if kind == CREATE else annihilate_component(phi, occ, mode)
-        if step is None:
-            return None
-        occ, phase = step
-        a *= phase
-    return occ, a
+def _flatten(expr: OperatorExpr, phi: float) -> list[tuple]:
+    """The terms of ``expr`` that act on some ket, as ``(coefficient, mask, need, flip, factors, weights)`` for :func:`_act`.
+
+    ``mask``, ``need`` and ``flip`` are those of :func:`_term_shape`.
+    ``factors`` lists ``(below, offset, table)`` per step, where ``table``
+    is this call's ``[reorder_phase(phi, c) for c in range(m)]`` for a
+    creator and its conjugates for an annihilator (see the module
+    docstring).  ``weights`` lists ``(bit, w)`` in the term's own order.
+    """
+    plain = [reorder_phase(phi, c) for c in range(expr.m)]
+    conj = [p.conjugate() for p in plain]
+    flat = []
+    for term in expr.terms:
+        shape = _term_shape(term)
+        if shape is not None:
+            mask, need, flip, steps = shape
+            factors = [(below, offset, plain if creates else conj) for below, offset, creates in steps]
+            weights = [(1 << (mode - 1), w) for mode, w in term.weights.items()]
+            flat.append((term.coefficient, mask, need, flip, factors, weights))
+    return flat
+
+
+def _act(occ: int, amp: complex, term: tuple) -> tuple[int, complex] | None:
+    """The ket and amplitude a flattened term (:func:`_flatten`) sends ``amp |occ>`` to, or None when it kills ``occ``.
+
+    The products are formed in the order
+    ``((amp * coefficient) * exp(i * sum w)) * phase_1 * phase_2 ...``,
+    with the factors' phases in the order the factors act.
+    """
+    coefficient, mask, need, flip, factors, weights = term
+    if occ & mask != need:
+        return None
+    a = amp * coefficient
+    if weights:
+        diag = 0.0
+        for bit, w in weights:
+            if occ & bit:
+                diag += w
+        if diag:
+            a *= cmath.exp(1j * diag)
+    for below, offset, table in factors:
+        a *= table[(occ & below).bit_count() + offset]
+    return occ ^ flip, a
 
 
 def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
@@ -194,9 +255,9 @@ def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     if expr.m != state.m:
         raise PreconditionError(f"operator is over {expr.m} modes, state over {state.m}")
     out: dict[int, complex] = {}
-    for term in expr.terms:
+    for term in _flatten(expr, state.phi):
         for occ, amp in state.amplitudes.items():
-            res = _apply_term_component(state.phi, occ, amp, term)
+            res = _act(occ, amp, term)
             if res is not None:
                 out[res[0]] = out.get(res[0], 0.0) + res[1]
     return AnyonState(state.m, state.phi, prune(out))
@@ -207,11 +268,13 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
 
     An orbit is every ket that a starting ket reaches by repeated action of
     the terms; a ket that an earlier orbit already holds starts none.  Which
-    ket a term reaches does not depend on the sector ``phi``, so no phase is
-    computed.  The union of the orbits is closed under ``expr``, so
-    :func:`operator_matrix` on their concatenation is block-diagonal (for a
-    Hermitian ``expr``), one block per orbit.
+    ket a term reaches depends on neither the sector ``phi`` nor a
+    coefficient, so the walk reads only each term's :func:`_term_shape`
+    and computes no phase.  The union of the orbits is closed under
+    ``expr``, so :func:`operator_matrix` on their concatenation is
+    block-diagonal (for a Hermitian ``expr``), one block per orbit.
     """
+    shapes = [shape[:3] for shape in map(_term_shape, expr.terms) if shape is not None]
     seen: set[int] = set()
     out: list[list[int]] = []
     for start in kets:
@@ -220,11 +283,10 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
         seen.add(start)
         orbit = [start]
         for occ in orbit:  # the orbit grows while it is walked
-            for term in expr.terms:
-                target = _term_target(occ, term)
-                if target is not None and target not in seen:
-                    seen.add(target)
-                    orbit.append(target)
+            for mask, need, flip in shapes:
+                if occ & mask == need and occ ^ flip not in seen:
+                    seen.add(occ ^ flip)
+                    orbit.append(occ ^ flip)
         out.append(orbit)
     return out
 
@@ -236,16 +298,17 @@ def operator_matrix(expr: OperatorExpr, phi: float, basis: Iterable[int]) -> np.
     """
     basis = list(basis)
     index = {occ: k for k, occ in enumerate(basis)}
+    flat = _flatten(expr, phi)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, occ in enumerate(basis):
-        for term in expr.terms:
-            res = _apply_term_component(phi, occ, 1.0 + 0.0j, term)
+        for term in flat:
+            res = _act(occ, 1.0 + 0.0j, term)
             if res is None:
                 continue
-            occ2, amp = res
-            if occ2 not in index:
-                if abs(amp) > 1e-12:
+            row = index.get(res[0])
+            if row is None:
+                if abs(res[1]) > 1e-12:
                     raise InvariantBreachError("operator leaks out of the supplied basis")
                 continue
-            mat[index[occ2], col] += amp
+            mat[row, col] += res[1]
     return mat

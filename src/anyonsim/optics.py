@@ -212,13 +212,18 @@ class Circuit:
 
 
 def generator_expr(gate: GateElement, m: int) -> OperatorExpr:
-    """The Hermitian generator of gate = exp(i * generator), angle folded in."""
+    """The Hermitian generator of gate = exp(i * generator), angle folded in.
+
+    Each term is built once with coefficient ``theta * (1.0 + 0.0j)``, the
+    product ``theta * expr`` would form (with its signed zeros).
+    """
+    c = gate.theta * (1.0 + 0.0j)
     if gate.kind == "PS":
-        return gate.theta * number(m, gate.i)
+        return number(m, gate.i, c)
     if gate.kind == "BS":
-        return gate.theta * hopping(m, gate.i, gate.j)
+        return hopping(m, gate.i, gate.j, c)
     if gate.kind == "PA":
-        return gate.theta * pair_source(m, gate.i, gate.j)
+        return pair_source(m, gate.i, gate.j, c)
     raise PreconditionError(f"{gate.kind} has no single generator form here")
 
 
@@ -283,10 +288,13 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     The generator matrix is built once on the concatenated orbits; its
     diagonal blocks are stacked by orbit size.  Each stack passes only its
     byte-distinct blocks to ``expm``, which exponentiates every slice on its
-    own, so a repeated block gets the bits it would get alone.  Hermiticity
-    is checked on the whole matrix, which also bounds every entry outside
-    the blocks by ``_HERM_ATOL``.  Inside :func:`scan_scope` the orbit plan
-    and the block exponentials come from the scope when it holds them.
+    own, so a repeated block gets the bits it would get alone.  Outside a
+    scope a stack of 1 x 1 blocks goes to ``expm`` whole: scipy takes
+    ``np.exp`` of it elementwise, so deduplication would save nothing.
+    Hermiticity is checked on the whole matrix, which also bounds every
+    entry outside the blocks by ``_HERM_ATOL``.  Inside :func:`scan_scope`
+    the orbit plan and the block exponentials come from the scope when it
+    holds them.
     """
     if not state.amplitudes:
         return state
@@ -310,8 +318,11 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
     for idx in stacks:
         blocks = 1j * h[idx[:, :, None], idx[:, None, :]]
-        picks, inverse = _distinct_slices(blocks)
-        u = (expm(blocks[picks]) if scope is None else scope.exponentials(blocks[picks]))[inverse]
+        if scope is None and idx.shape[1] == 1:
+            u = expm(blocks)
+        else:
+            picks, inverse = _distinct_slices(blocks)
+            u = (expm(blocks[picks]) if scope is None else scope.exponentials(blocks[picks]))[inverse]
         vec[idx] = np.einsum("kab,kb->ka", u, vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
 
