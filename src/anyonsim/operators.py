@@ -205,10 +205,12 @@ def _term_shape(term: LadderTerm) -> tuple[int, int, int, list[tuple[int, int, b
     return mask, need, need ^ now, steps
 
 
-def _flatten(expr: OperatorExpr, phi: float) -> list[tuple]:
+def _flatten(expr: OperatorExpr, phi: float, shapes: list | None = None) -> list[tuple]:
     """The terms of ``expr`` that act on some ket, as ``(coefficient, mask, need, flip, factors, weights)`` for :func:`_act`.
 
-    ``mask``, ``need`` and ``flip`` are those of :func:`_term_shape`.
+    ``mask``, ``need`` and ``flip`` are those of :func:`_term_shape`;
+    ``shapes`` is the :func:`_term_shape` of each term when the caller
+    already holds them.
     ``factors`` lists ``(below, offset, table)`` per step, where ``table``
     is this call's ``[reorder_phase(phi, c) for c in range(m)]`` for a
     creator and its conjugates for an annihilator (see the module
@@ -217,8 +219,8 @@ def _flatten(expr: OperatorExpr, phi: float) -> list[tuple]:
     plain = [reorder_phase(phi, c) for c in range(expr.m)]
     conj = [p.conjugate() for p in plain]
     flat = []
-    for term in expr.terms:
-        shape = _term_shape(term)
+    for k, term in enumerate(expr.terms):
+        shape = _term_shape(term) if shapes is None else shapes[k]
         if shape is not None:
             mask, need, flip, steps = shape
             factors = [(below, offset, plain if creates else conj) for below, offset, creates in steps]
@@ -274,7 +276,12 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
     ``expr``, so :func:`operator_matrix` on their concatenation is
     block-diagonal (for a Hermitian ``expr``), one block per orbit.
     """
-    shapes = [shape[:3] for shape in map(_term_shape, expr.terms) if shape is not None]
+    return _orbits(list(map(_term_shape, expr.terms)), kets)
+
+
+def _orbits(shapes: list, kets: Iterable[int]) -> list[list[int]]:
+    """:func:`orbits` from the :func:`_term_shape` of each term."""
+    moves = [shape[:3] for shape in shapes if shape is not None]
     seen: set[int] = set()
     out: list[list[int]] = []
     for start in kets:
@@ -283,7 +290,7 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
         seen.add(start)
         orbit = [start]
         for occ in orbit:  # the orbit grows while it is walked
-            for mask, need, flip in shapes:
+            for mask, need, flip in moves:
                 if occ & mask == need and occ ^ flip not in seen:
                     seen.add(occ ^ flip)
                     orbit.append(occ ^ flip)

@@ -10,7 +10,11 @@ reaches by repeated action of the generator's terms, so the span of the
 orbits is invariant and the generator is block-diagonal on it.  A single
 gate couples each ket to at most one partner (blocks of size 1 or 2); an
 induced Bogoliubov generator gives larger blocks.  Each block is
-exponentiated densely from the native matrix elements.  The whole-sector
+exponentiated densely from the native matrix elements.  A generator that
+moves no ket, such as every phase shifter's ``theta * n_i``, is diagonal
+in every sector (``n_i`` commutes with the anyonic string), so each ket is
+its own orbit: its 1 x 1 blocks are read and exponentiated per ket, with
+no generator matrix, orbit walk or plan, and the same bits.  The whole-sector
 exponential (:func:`_apply_sector_exponential`) and closed-form actions are
 used only as test oracles.
 
@@ -29,15 +33,17 @@ ladder factors in order and the state's kets in table order: which ket a
 term reaches reads neither a phase nor a coefficient, so equal keys give
 equal plans.  A *block exponential* is keyed on the exact bytes of an
 ``(s, s)`` orbit block: ``expm`` exponentiates each slice of a stack on
-its own, so a block met again gets the bits it got the first time.  Every
-gate still builds its generator matrix, checks it Hermitian and prunes
-its output, and every circuit still checks its norm.  The scope lives in a
+its own, so a block met again gets the bits it got the first time.  A
+diagonal gate takes no plan, but its blocks go through the scope too.
+Every gate that moves kets still builds its generator matrix; every gate
+checks its generator Hermitian and prunes its output, and every circuit
+still checks its norm.  The scope lives in a
 :class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
 or raises, so nothing is kept across commands.  Outside a scope a gate
 only pays the ``ContextVar.get()``.
 
 A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets raises
-PreconditionError before its generator matrix is allocated.
+PreconditionError before it builds anything on that basis.
 
 scipy
 -----
@@ -65,9 +71,12 @@ from .operators import (
     LadderTerm,
     OperatorExpr,
     hopping,
+    _act,
+    _flatten,
+    _orbits,
+    _term_shape,
     number,
     operator_matrix,
-    orbits,
     pair_source,
 )
 from .states import AnyonState, check_mode, check_norm_kept, json_float, json_int, prune, rotated_create, same_sector
@@ -77,7 +86,7 @@ GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
 
 #: gate exponentials check Hermiticity of the generator to this
 _HERM_ATOL = 1e-12
-#: largest orbit basis a dense gate builds its d x d generator on (1 GiB of complex128)
+#: most kets one dense gate works on; a gate that moves kets builds a d x d generator on them (1 GiB of complex128 at the cap)
 ORBIT_BASIS_MAX = 8192
 
 
@@ -268,50 +277,60 @@ def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) 
     return AnyonState(state.m, state.phi, prune(out))
 
 
-def _orbit_plan(expr: OperatorExpr, phi: float, kets) -> tuple[list[int], list[np.ndarray]]:
-    """The concatenated orbits of ``kets`` under ``expr`` and, per orbit size, an (orbits, size) array of their positions.
+def _orbit_plan(shapes: list, kets) -> tuple[list[int], list[np.ndarray]]:
+    """The concatenated orbits of ``kets`` and, per orbit size, an (orbits, size) array of their positions.
 
-    Only which kets each term reaches enters (:func:`~anyonsim.operators.orbits`),
-    never a phase or a coefficient.
+    ``shapes`` holds each term's :func:`~anyonsim.operators._term_shape`:
+    only which kets each term reaches enters, never a phase or a coefficient.
     """
     basis: list[int] = []
     starts: dict[int, list[int]] = {}  # orbit size -> positions in basis where such orbits start
-    for orbit in orbits(expr, phi, kets):
+    for orbit in _orbits(shapes, kets):
         starts.setdefault(len(orbit), []).append(len(basis))
         basis.extend(orbit)
     return basis, [np.array(first)[:, None] + np.arange(size) for size, first in starts.items()]
 
 
+def _over_budget(d: int) -> PreconditionError:
+    return PreconditionError(f"gate orbit basis has d = {d} kets, over the dense budget of {ORBIT_BASIS_MAX} kets per gate")
+
+
 def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     """exp(i * expr) on the orbits of the state's kets under ``expr``.
 
-    The generator matrix is built once on the concatenated orbits; its
-    diagonal blocks are stacked by orbit size.  Each stack passes only its
-    byte-distinct blocks to ``expm``, which exponentiates every slice on its
-    own, so a repeated block gets the bits it would get alone.  Outside a
-    scope a stack of 1 x 1 blocks goes to ``expm`` whole: scipy takes
-    ``np.exp`` of it elementwise, so deduplication would save nothing.
-    Hermiticity is checked on the whole matrix, which also bounds every
-    entry outside the blocks by ``_HERM_ATOL``.  Inside :func:`scan_scope`
-    the orbit plan and the block exponentials come from the scope when it
-    holds them.
+    A generator none of whose terms moves a ket (every phase shifter) is
+    diagonal: each ket is its own orbit, and
+    :func:`_apply_diagonal_exponential` works on the table elementwise.
+    Otherwise the generator matrix is built once on the concatenated
+    orbits; its diagonal blocks are stacked by orbit size.  Each stack
+    passes only its byte-distinct blocks to ``expm``, which exponentiates
+    every slice on its own, so a repeated block gets the bits it would get
+    alone.  Outside a scope a stack of 1 x 1 blocks goes to ``expm`` whole:
+    scipy takes ``np.exp`` of it elementwise, so deduplication would save
+    nothing.  Hermiticity is checked on the whole matrix, which also bounds
+    every entry outside the blocks by ``_HERM_ATOL``.  Inside
+    :func:`scan_scope` the orbit plan and the block exponentials come from
+    the scope when it holds them.
     """
     if not state.amplitudes:
         return state
+    shapes = list(map(_term_shape, expr.terms))
+    for shape in shapes:
+        if shape is not None and shape[2]:  # this term flips a mode
+            break
+    else:
+        return _apply_diagonal_exponential(state, expr, shapes)
     scope = _SCAN_SCOPE.get()
     if scope is None:
-        basis, stacks = _orbit_plan(expr, state.phi, state.amplitudes)
+        basis, stacks = _orbit_plan(shapes, state.amplitudes)
     else:
         key = (tuple(term.factors for term in expr.terms), tuple(state.amplitudes))
         plan = scope.plans.get(key)
         if plan is None:
-            plan = scope.plans[key] = _orbit_plan(expr, state.phi, state.amplitudes)
+            plan = scope.plans[key] = _orbit_plan(shapes, state.amplitudes)
         basis, stacks = plan
     if len(basis) > ORBIT_BASIS_MAX:
-        raise PreconditionError(
-            f"gate orbit basis has d = {len(basis)} kets, over the dense budget of {ORBIT_BASIS_MAX}: "
-            f"its d x d generator would take {16 * len(basis) ** 2 / 2**30:.1f} GiB"
-        )
+        raise _over_budget(len(basis))
     h = operator_matrix(expr, state.phi, basis)
     if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
         raise InvariantBreachError("gate generator is not Hermitian on its orbits")
@@ -325,6 +344,47 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
             u = (expm(blocks[picks]) if scope is None else scope.exponentials(blocks[picks]))[inverse]
         vec[idx] = np.einsum("kab,kb->ka", u, vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
+
+
+def _apply_diagonal_exponential(state: AnyonState, expr: OperatorExpr, shapes: list) -> AnyonState:
+    """exp(i * expr) for an ``expr`` that moves no ket, one ket at a time, with the bits of the orbit path.
+
+    Each ket's diagonal element is summed from ``0j`` over the terms in
+    order, through the kernel :func:`~anyonsim.operators.operator_matrix`
+    uses, and checked Hermitian (``|h - conj(h)| <= _HERM_ATOL``).  The
+    (k, 1, 1) stack of ``1j * h`` is exponentiated as an orbit stack is.
+    Each amplitude becomes ``0j + u * amp`` in Python complex arithmetic,
+    which forms the product as the orbit path's ``einsum`` does,
+    ``(u.re * a.re - u.im * a.im, u.re * a.im + u.im * a.re)`` (numpy's
+    vectorized complex multiply may round it differently), and whose
+    ``0.0 +`` turns a ``-0.0`` part into ``+0.0`` as the ``einsum`` sum does.
+    No d x d matrix, orbit walk or plan is built.
+    """
+    kets = list(state.amplitudes)
+    if len(kets) > ORBIT_BASIS_MAX:
+        raise _over_budget(len(kets))
+    flat = _flatten(expr, state.phi, shapes)
+    diagonal = []
+    for occ in kets:
+        h = 0j
+        for term in flat:
+            res = _act(occ, 1.0 + 0.0j, term)
+            if res is not None:
+                h += res[1]
+        if abs(h - h.conjugate()) > _HERM_ATOL:
+            raise InvariantBreachError("gate generator is not Hermitian on its orbits")
+        diagonal.append(h)
+    blocks = 1j * np.array(diagonal, dtype=complex)[:, None, None]
+    scope = _SCAN_SCOPE.get()
+    if scope is None:
+        u = expm(blocks)
+    else:
+        picks, inverse = _distinct_slices(blocks)
+        u = scope.exponentials(blocks[picks])[inverse]
+    # complex(a): an np.complex128 amplitude would take numpy's scalar product; the array holds
+    # np.complex128 values, as the orbit path's table does
+    out = np.array([0j + x * complex(a) for x, a in zip(u[:, 0, 0].tolist(), state.amplitudes.values())])
+    return AnyonState(state.m, state.phi, prune(dict(zip(kets, out))))
 
 
 def _distinct_slices(stack: np.ndarray) -> tuple[list[int], list[int]]:

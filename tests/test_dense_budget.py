@@ -37,8 +37,9 @@ def small_budget(monkeypatch):
 
 
 def test_a_basis_at_the_budget_runs(small_budget):
-    state = uniform_state(4, [0b0001, 0b0010, 0b0100, 0b1000])
-    run_circuit(state, Circuit(4, 0.0, (ps(1, 0.3),)))
+    # two kets, each hopped to a partner by BS(1, 2): the basis holds four
+    state = uniform_state(4, [0b0001, 0b1001])
+    run_circuit(state, Circuit(4, 0.0, (bs(1, 2, 0.3),)))
     assert small_budget == [4]
 
 
