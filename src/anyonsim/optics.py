@@ -13,10 +13,12 @@ induced Bogoliubov generator gives larger blocks.  Each block is
 exponentiated densely from the native matrix elements.  A generator that
 moves no ket, such as every phase shifter's ``theta * n_i``, is diagonal
 in every sector (``n_i`` commutes with the anyonic string), so each ket is
-its own orbit: its 1 x 1 blocks are read and exponentiated per ket, with
-no generator matrix, orbit walk or plan, and the same bits.  The whole-sector
-exponential (:func:`_apply_sector_exponential`) and closed-form actions are
-used only as test oracles.
+its own orbit: its 1 x 1 blocks are read per ket, with no generator matrix
+or orbit walk.  Every gate, diagonal or not, then ends in the same tail:
+one router sends its stacked blocks to ``expm`` and one ``einsum``
+applies them.  The whole-sector exponential
+(:func:`_apply_sector_exponential`) and closed-form actions are used only
+as test oracles.
 
 ``FSWAP(i, j)`` is the statistics-mapped image of the fermionic mode swap:
 it acts on the amplitude table exactly as the fermionic closed form
@@ -28,19 +30,19 @@ Sharing within a scan
 ---------------------
 Inside :func:`scan_scope` (``entropy-scan`` opens one around its grid),
 the dense gates share two things.  An *orbit plan* (the concatenated
-orbits and, per orbit size, their positions) is keyed on each term's
-ladder factors in order and the state's kets in table order: which ket a
-term reaches reads neither a phase nor a coefficient, so equal keys give
-equal plans.  A *block exponential* is keyed on the exact bytes of an
-``(s, s)`` orbit block: ``expm`` exponentiates each slice of a stack on
-its own, so a block met again gets the bits it got the first time.  A
-diagonal gate takes no plan, but its blocks go through the scope too.
-Every gate that moves kets still builds its generator matrix; every gate
-checks its generator Hermitian and prunes its output, and every circuit
-still checks its norm.  The scope lives in a
-:class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
-or raises, so nothing is kept across commands.  Outside a scope a gate
-only pays the ``ContextVar.get()``.
+orbits and, per orbit size, their positions) of a gate that moves kets is
+keyed on each term's ladder factors in order and the state's kets in table
+order: which ket a term reaches reads neither a phase nor a coefficient,
+so equal keys give equal plans.  A diagonal gate's plan is trivial and is
+not kept.  A *block exponential* is keyed on the exact bytes of an
+``(s, s)`` block: ``expm`` exponentiates each slice of a stack on its own,
+so a block met again gets the bits it got the first time.  The one router,
+:func:`_exponentials`, serves every gate in and out of a scope.  Every gate
+that moves kets still builds its generator matrix; every gate checks its
+generator Hermitian and prunes its output, and every circuit still checks
+its norm.  The scope lives in a :class:`contextvars.ContextVar`; it is
+reset when the ``with`` block ends or raises, so nothing is kept across
+commands.  Outside a scope a gate only pays the ``ContextVar.get()``.
 
 A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets raises
 PreconditionError before it builds anything on that basis.
@@ -79,7 +81,7 @@ from .operators import (
     operator_matrix,
     pair_source,
 )
-from .states import AnyonState, check_mode, check_norm_kept, json_float, json_int, prune, rotated_create, same_sector
+from .states import AnyonState, check_index, check_mode, check_norm_kept, json_float, json_int, prune, rotated_create, same_sector
 from .transmute import anyonize, fermionize
 
 GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
@@ -109,15 +111,6 @@ class _ScanScope:
         self.plans: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
         #: exact bytes of an (s, s) block -> its exponential
         self.blocks: dict[bytes, np.ndarray] = {}
-
-    def exponentials(self, stack: np.ndarray) -> np.ndarray:
-        """``expm`` of each slice of a C-contiguous stack of byte-distinct blocks; only blocks new to the scope reach ``expm``."""
-        raw, step = stack.tobytes(), stack[0].nbytes
-        keys = [raw[k * step : (k + 1) * step] for k in range(len(stack))]
-        fresh = [k for k, key in enumerate(keys) if key not in self.blocks]
-        if fresh:
-            self.blocks.update(zip([keys[k] for k in fresh], expm(stack[fresh])))
-        return np.array([self.blocks[key] for key in keys])
 
 
 _SCAN_SCOPE: ContextVar[_ScanScope | None] = ContextVar("anyonsim_scan_scope", default=None)
@@ -152,6 +145,8 @@ class GateElement:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise PreconditionError(f"unknown gate kind {self.kind!r}")
+        for k in self.modes():
+            check_index(k)
         if self.i < 1 or (self.j is not None and self.j < 1):
             raise PreconditionError(f"gate {self} has a mode index below 1")
         if self.kind == "PS":
@@ -298,30 +293,26 @@ def _over_budget(d: int) -> PreconditionError:
 def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     """exp(i * expr) on the orbits of the state's kets under ``expr``.
 
-    A generator none of whose terms moves a ket (every phase shifter) is
-    diagonal: each ket is its own orbit, and
-    :func:`_apply_diagonal_exponential` works on the table elementwise.
-    Otherwise the generator matrix is built once on the concatenated
-    orbits; its diagonal blocks are stacked by orbit size.  Each stack
-    passes only its byte-distinct blocks to ``expm``, which exponentiates
-    every slice on its own, so a repeated block gets the bits it would get
-    alone.  Outside a scope a stack of 1 x 1 blocks goes to ``expm`` whole:
-    scipy takes ``np.exp`` of it elementwise, so deduplication would save
-    nothing.  Hermiticity is checked on the whole matrix, which also bounds
-    every entry outside the blocks by ``_HERM_ATOL``.  Inside
-    :func:`scan_scope` the orbit plan and the block exponentials come from
-    the scope when it holds them.
+    The orbits are concatenated into a basis, and the positions of the
+    orbits of each size form one ``(k, s)`` stack.  A generator none of
+    whose terms moves a ket (every phase shifter) has the trivial plan: the
+    basis is the table's kets and one ``(k, 1)`` stack, with no walk, and
+    its 1 x 1 blocks come from :func:`_diagonal_elements`, with no
+    generator matrix.  Any other generator's matrix is built on the basis,
+    checked Hermitian as a whole (which also bounds every entry outside the
+    blocks by ``_HERM_ATOL``), and its diagonal blocks are cut out per
+    stack.  Every stack then goes through :func:`_exponentials` and one
+    ``einsum`` tail.  Inside :func:`scan_scope` a moving generator's plan
+    comes from the scope when it holds it.
     """
     if not state.amplitudes:
         return state
     shapes = list(map(_term_shape, expr.terms))
-    for shape in shapes:
-        if shape is not None and shape[2]:  # this term flips a mode
-            break
-    else:
-        return _apply_diagonal_exponential(state, expr, shapes)
     scope = _SCAN_SCOPE.get()
-    if scope is None:
+    moves = any(shape is not None and shape[2] for shape in shapes)  # some term flips a mode
+    if not moves:
+        basis, stacks = list(state.amplitudes), [np.arange(len(state.amplitudes))[:, None]]
+    elif scope is None:
         basis, stacks = _orbit_plan(shapes, state.amplitudes)
     else:
         key = (tuple(term.factors for term in expr.terms), tuple(state.amplitudes))
@@ -331,41 +322,30 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
         basis, stacks = plan
     if len(basis) > ORBIT_BASIS_MAX:
         raise _over_budget(len(basis))
-    h = operator_matrix(expr, state.phi, basis)
-    if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
-        raise InvariantBreachError("gate generator is not Hermitian on its orbits")
+    if moves:
+        h = operator_matrix(expr, state.phi, basis)
+        if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
+            raise InvariantBreachError("gate generator is not Hermitian on its orbits")
+        blocks = [1j * h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
+    else:
+        blocks = [1j * np.array(_diagonal_elements(state, expr, shapes), dtype=complex)[:, None, None]]
     vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
-    for idx in stacks:
-        blocks = 1j * h[idx[:, :, None], idx[:, None, :]]
-        if scope is None and idx.shape[1] == 1:
-            u = expm(blocks)
-        else:
-            picks, inverse = _distinct_slices(blocks)
-            u = (expm(blocks[picks]) if scope is None else scope.exponentials(blocks[picks]))[inverse]
-        vec[idx] = np.einsum("kab,kb->ka", u, vec[idx])
+    for idx, stack in zip(stacks, blocks):
+        vec[idx] = np.einsum("kab,kb->ka", _exponentials(stack, scope), vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
 
 
-def _apply_diagonal_exponential(state: AnyonState, expr: OperatorExpr, shapes: list) -> AnyonState:
-    """exp(i * expr) for an ``expr`` that moves no ket, one ket at a time, with the bits of the orbit path.
+def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> list[complex]:
+    """Each ket's element of an ``expr`` that moves no ket, in table order.
 
-    Each ket's diagonal element is summed from ``0j`` over the terms in
-    order, through the kernel :func:`~anyonsim.operators.operator_matrix`
-    uses, and checked Hermitian (``|h - conj(h)| <= _HERM_ATOL``).  The
-    (k, 1, 1) stack of ``1j * h`` is exponentiated as an orbit stack is.
-    Each amplitude becomes ``0j + u * amp`` in Python complex arithmetic,
-    which forms the product as the orbit path's ``einsum`` does,
-    ``(u.re * a.re - u.im * a.im, u.re * a.im + u.im * a.re)`` (numpy's
-    vectorized complex multiply may round it differently), and whose
-    ``0.0 +`` turns a ``-0.0`` part into ``+0.0`` as the ``einsum`` sum does.
-    No d x d matrix, orbit walk or plan is built.
+    The element is summed from ``0j`` over the terms in order, through the
+    kernel :func:`~anyonsim.operators.operator_matrix` uses, so it has the
+    bits of that matrix's diagonal; each is checked Hermitian
+    (``|h - conj(h)| <= _HERM_ATOL``).
     """
-    kets = list(state.amplitudes)
-    if len(kets) > ORBIT_BASIS_MAX:
-        raise _over_budget(len(kets))
     flat = _flatten(expr, state.phi, shapes)
     diagonal = []
-    for occ in kets:
+    for occ in state.amplitudes:
         h = 0j
         for term in flat:
             res = _act(occ, 1.0 + 0.0j, term)
@@ -374,33 +354,38 @@ def _apply_diagonal_exponential(state: AnyonState, expr: OperatorExpr, shapes: l
         if abs(h - h.conjugate()) > _HERM_ATOL:
             raise InvariantBreachError("gate generator is not Hermitian on its orbits")
         diagonal.append(h)
-    blocks = 1j * np.array(diagonal, dtype=complex)[:, None, None]
-    scope = _SCAN_SCOPE.get()
-    if scope is None:
-        u = expm(blocks)
-    else:
-        picks, inverse = _distinct_slices(blocks)
-        u = scope.exponentials(blocks[picks])[inverse]
-    # complex(a): an np.complex128 amplitude would take numpy's scalar product; the array holds
-    # np.complex128 values, as the orbit path's table does
-    out = np.array([0j + x * complex(a) for x, a in zip(u[:, 0, 0].tolist(), state.amplitudes.values())])
-    return AnyonState(state.m, state.phi, prune(dict(zip(kets, out))))
+    return diagonal
 
 
-def _distinct_slices(stack: np.ndarray) -> tuple[list[int], list[int]]:
-    """First index of each byte-distinct slice of a C-contiguous stack, and each slice's position among them."""
-    raw, step = stack.tobytes(), stack[0].nbytes
-    position: dict[bytes, int] = {}
-    picks: list[int] = []
+def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
+    """``expm`` of each slice of a C-contiguous ``(k, s, s)`` stack, with the bits of a per-slice call.
+
+    ``expm`` exponentiates every slice on its own, so only byte-distinct
+    slices are sent, in first-occurrence order, and a repeated block gets
+    the bits it got the first time.  Inside a scope only slices the scope
+    has not seen are sent.  Outside a scope a stack of 1 x 1 blocks goes
+    whole: scipy takes ``np.exp`` of it elementwise, so a dedupe would save
+    nothing.
+    """
+    if scope is None and blocks.shape[1] == 1:
+        return expm(blocks)
+    raw, step = blocks.tobytes(), blocks[0].nbytes
+    position: dict[bytes, int] = {}  # each distinct block -> its place in first-occurrence order
+    picks: list[int] = []  # the first slice holding each distinct block
     inverse: list[int] = []
-    for k in range(len(stack)):
+    for k in range(len(blocks)):
         key = raw[k * step : (k + 1) * step]
         pos = position.get(key)
         if pos is None:
             pos = position[key] = len(picks)
             picks.append(k)
         inverse.append(pos)
-    return picks, inverse
+    if scope is None:
+        return expm(blocks[picks])[inverse]
+    fresh = [key for key in position if key not in scope.blocks]
+    if fresh:
+        scope.blocks.update(zip(fresh, expm(blocks[[picks[position[key]] for key in fresh]])))
+    return np.array([scope.blocks[key] for key in position])[inverse]
 
 
 def apply_gate(state: AnyonState, gate: GateElement) -> AnyonState:

@@ -103,8 +103,15 @@ def same_sector(phi_a: float, phi_b: float) -> bool:
     return min(d, TWO_PI - d) <= 1e-12
 
 
+def check_index(i: int) -> None:
+    """Raise PreconditionError unless mode index i is an integer and no bool; a type with ``__index__``, such as ``np.int64``, passes."""
+    if type(i) is not int and (isinstance(i, bool) or not hasattr(type(i), "__index__")):
+        raise PreconditionError(f"mode index must be an integer, got {i!r}")
+
+
 def check_mode(m: int, i: int) -> None:
-    """Raise PreconditionError unless mode index i lies in 1..m."""
+    """Raise PreconditionError unless mode index i is an integer (:func:`check_index`) in 1..m."""
+    check_index(i)
     if not 1 <= i <= m:
         raise PreconditionError(f"mode index {i} out of range 1..{m}")
 

@@ -1,5 +1,7 @@
 """Repeated orbit blocks are exponentiated once and still get the bits of a per-block ``expm``."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 import anyonsim.optics as optics_mod
 from anyonsim import AnyonState, bs, pa, ps
 from anyonsim.operators import operator_matrix, orbits
-from anyonsim.optics import _apply_orbit_exponential, _distinct_slices, generator_expr
+from anyonsim.optics import _apply_orbit_exponential, _exponentials, generator_expr, scan_scope
 from anyonsim.states import prune
 
 
@@ -59,11 +61,35 @@ def test_full_states_repeat_blocks(rng, monkeypatch):
     assert sum(sliced) < orbit_count
 
 
-def test_distinct_slices_keeps_first_occurrence_and_signed_zero():
-    a = np.array([[1.0 + 2.0j]])
-    z = np.array([[0.0 + 0.0j]])
+def spy_on_expm(monkeypatch):
+    """The bytes of every slice sent to ``expm``, in order."""
+    sent = []
+    real_expm = optics_mod.expm
+
+    def spy(blocks):
+        sent.extend(block.tobytes() for block in blocks)
+        return real_expm(blocks)
+
+    monkeypatch.setattr(optics_mod, "expm", spy)
+    return sent
+
+
+@pytest.mark.parametrize("in_scope", [False, True])
+@pytest.mark.parametrize("size", [1, 2])
+def test_exponentials_send_each_distinct_slice_once_in_first_occurrence_order(monkeypatch, size, in_scope):
+    a = np.full((size, size), 0.5 - 0.25j)
+    a[0, 0] = 1.0 + 2.0j
+    z = np.zeros((size, size), dtype=complex)
     stack = np.stack([a, z, a, -z, z])
-    picks, inverse = _distinct_slices(stack)
-    assert picks == [0, 1, 3]  # -0.0 is a distinct block
-    assert inverse == [0, 1, 0, 2, 1]
-    assert stack[picks][inverse].tobytes() == stack.tobytes()
+    sent = spy_on_expm(monkeypatch)
+    with scan_scope() if in_scope else contextlib.nullcontext() as scope:
+        got = _exponentials(stack, scope)
+        if size == 1 and not in_scope:  # scipy takes np.exp of a 1 x 1 stack elementwise: it goes whole
+            assert sent == [block.tobytes() for block in stack]
+        else:
+            assert sent == [a.tobytes(), z.tobytes(), (-z).tobytes()]  # -0.0 is a distinct block
+        assert got.tobytes() == np.array([expm(block) for block in stack]).tobytes()
+        if in_scope:
+            sent.clear()
+            assert _exponentials(stack, scope).tobytes() == got.tobytes()
+            assert sent == []  # every slice is known to the scope
