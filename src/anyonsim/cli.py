@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import contextmanager
 from operator import itemgetter
 
 import numpy as np
@@ -81,10 +82,14 @@ def _load_state(args) -> AnyonState:
     return state_from_json_dict(_load_json(args.state))
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """Stdout for no path or ``-``, left open; otherwise the file, opened on entry and closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
 
 
 def cmd_run(args) -> int:
@@ -117,14 +122,10 @@ def cmd_run(args) -> int:
             raise InvariantBreachError(f"dense and fast-path amplitudes differ by {delta:.3e} > tol {args.tol:g}")
 
     rows = sorted(((occ_to_string(occ, final.m), amp) for occ, amp in final.amplitudes.items()), key=itemgetter(0))
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("occ,re,im\n")
         for occ, amp in rows:
             out.write(f"{occ},{_fmt(amp.real)},{_fmt(amp.imag)}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -217,14 +218,10 @@ def cmd_entropy_scan(args) -> int:
                 rank = report.slater_rank if report.slater_rank is not None else -1
                 rows.append((phi, theta, s_x, s_y, report.e_sp, rank))
 
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("phi,theta,S_x,S_y,E_SP,slater_rank\n")
         for phi, theta, s_x, s_y, e_sp, rank in rows:
             out.write(f"{_fmt(phi)},{_fmt(theta)},{_fmt(s_x)},{_fmt(s_y)},{_fmt(e_sp)},{rank}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -238,13 +235,9 @@ def cmd_schmidt(args) -> int:
             [{"re": float(v.real), "im": float(v.imag)} for v in row] for row in dec.mode_unitary
         ],
     }
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(report, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

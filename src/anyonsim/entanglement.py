@@ -28,15 +28,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
+from .fastpath import _rotate_table
 from .states import (
     PRUNE_EPS,
     AnyonState,
     annihilate_component,
     apply_annihilate,
+    check_index,
     check_tol,
     inner_product,
     occupied_modes,
-    rotated_create,
 )
 from .transmute import fermionize
 
@@ -176,7 +177,7 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
     For two-particle states ``keep`` is ``"x"`` (first slot of the creation
     string; tracing the second injects exchange phases) or ``"y"`` (second
     slot; the traced sum runs with no extra phase).  For general N an
-    integer slot 1..N may be kept.  The result is trace-normalized.
+    integer slot 1..N (no bool) may be kept.  The result is trace-normalized.
 
     Chains are grouped by the modes in the traced slots (their context), in
     order of first appearance; each matrix entry accumulates its products
@@ -192,6 +193,7 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
             raise PreconditionError("the x/y form of the trace applies to two-particle states")
         slot = 1 if keep == "x" else 2
     else:
+        check_index(keep, "kept slot")
         slot = keep
     if not 1 <= slot <= n:
         raise PreconditionError(f"kept slot {slot} out of range 1..{n}")
@@ -401,18 +403,15 @@ def slater_decompose(state: AnyonState, rank_tol: float = _Z_FLOOR) -> SlaterDec
 
 
 def reconstruct_from_slater(dec: SlaterDecomposition, m: int) -> AnyonState:
-    """Rebuild sum_k z_k g+_{2k-1} g+_{2k} |vac> in the fermionic sector."""
-    total: dict[int, complex] = {}
-    rot = dec.mode_unitary.conj()
-    for k, zk in enumerate(dec.z):
-        if zk <= 0.0:
-            continue
-        table = {0: complex(zk)}
-        table = rotated_create(table, m, rot[2 * k + 1])
-        table = rotated_create(table, m, rot[2 * k])
-        for occ, amp in table.items():
-            total[occ] = total.get(occ, 0.0) + amp
-    return AnyonState(m, 0.0, total)
+    """Rebuild sum_k z_k g+_{2k-1} g+_{2k} |vac> in the fermionic sector.
+
+    The determinant engine rotates the table ``{a+_{2k-1} a+_{2k}|vac>: z_k}``
+    by ``mode_unitary^H``.  ``m`` must be the decomposition's mode count.
+    """
+    if m != len(dec.mode_unitary):
+        raise PreconditionError(f"decomposition is over {len(dec.mode_unitary)} modes, not {m}")
+    table = {3 << 2 * k: complex(zk) for k, zk in enumerate(dec.z)}
+    return AnyonState(m, 0.0, _rotate_table(table, dec.mode_unitary.conj().T))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ a segment that would enumerate more than ``_MINOR_BUDGET`` of them, or
 evaluate more minors than that, is refused with
 :class:`~anyonsim.errors.PreconditionError`.
 
+Every other single-particle rotation (``apply_induced_bogoliubov`` with
+V = 0, ``reconstruct_from_slater``) runs here too, through
+:func:`_rotate_table`, under the same light cone and minor budget.
+
 ``PA(1, 2)`` is also admitted: its action is dense but strictly local to
 the two lowest modes (they have no modes to their left), so evolution
 composes determinant blocks with a 2 x 2 rotation on the {empty, doubly
@@ -115,11 +119,17 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     total = np.eye(circuit.m, dtype=complex)
     for gate in circuit.gates:
         total = _gate_transfer(gate, circuit.m) @ total
+    return _flushed(total)
+
+
+def _flushed(t: np.ndarray) -> SingleParticleUnitary:
+    """A copy of ``t`` with real and imaginary parts below the smallest normal float set to 0."""
+    t = np.array(t, dtype=complex)
     # LAPACK's LU gives NaN for a singular minor holding a subnormal entry
     # (det([[0, 0], [2.2e-313j, 1]]) is NaN); flush such parts to zero
-    for part in (total.real, total.imag):
+    for part in (t.real, t.imag):
         part[np.abs(part) < _TINY] = 0.0
-    return SingleParticleUnitary(total)
+    return SingleParticleUnitary(t)
 
 
 def _occupied(occ: int, m: int) -> list[int]:
@@ -242,6 +252,11 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             keep = mags > 0.0  # exact zeros are dropped
             out.update(zip(bits[rows[keep]].sum(axis=1).tolist(), totals[keep].tolist()))
     return out
+
+
+def _rotate_table(table: dict[int, complex], t: np.ndarray) -> dict[int, complex]:
+    """:func:`_evolve_nc_block` for the rotation ``a+_i -> sum_j t[j, i] a+_j``, subnormal parts of ``t`` flushed."""
+    return _evolve_nc_block(table, _flushed(t))
 
 
 def _apply_pa12(table: dict[int, complex], theta: float) -> dict[int, complex]:

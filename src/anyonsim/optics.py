@@ -81,7 +81,7 @@ from .operators import (
     operator_matrix,
     pair_source,
 )
-from .states import AnyonState, check_index, check_mode, check_norm_kept, json_float, json_int, prune, rotated_create, same_sector
+from .states import AnyonState, check_index, check_mode, check_norm_kept, json_float, json_int, prune, same_sector
 from .transmute import anyonize, fermionize
 
 GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
@@ -587,7 +587,8 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
     """Apply the sector-conjugated canonical transformation to a state.
 
     Implemented as fermionize -> fermionic action -> map back.  For V = 0
-    each basis component's creation string is expanded through U directly;
+    the amplitudes are minors of ``U.T`` on the determinant engine, whose
+    minor budget raises PreconditionError (:mod:`anyonsim.fastpath`);
     otherwise the exponential of the stored generator acts on the orbits of
     the state's kets.
     """
@@ -596,14 +597,9 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
         raise PreconditionError(f"transformation is over {pair.mode_count()} modes, state over {state.m}")
     psi = fermionize(state)
     if pair.is_rotation():
-        out: dict[int, complex] = {}
-        for occ, amp in psi.amplitudes.items():
-            table = {0: amp}
-            for mode in reversed([k + 1 for k in range(state.m) if occ >> k & 1]):
-                table = rotated_create(table, state.m, pair.u[mode - 1])
-            for occ2, a2 in table.items():
-                out[occ2] = out.get(occ2, 0.0) + a2
-        result = AnyonState(state.m, 0.0, prune(out))
+        from .fastpath import _rotate_table  # fastpath imports this module
+
+        result = AnyonState(state.m, 0.0, prune(_rotate_table(psi.amplitudes, pair.u.T)))
     else:
         if pair.generator is None:
             raise PreconditionError("pairing transformations must carry their quadratic generator")

@@ -24,7 +24,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InvariantBreachError, PreconditionError
 
@@ -103,10 +103,10 @@ def same_sector(phi_a: float, phi_b: float) -> bool:
     return min(d, TWO_PI - d) <= 1e-12
 
 
-def check_index(i: int) -> None:
-    """Raise PreconditionError unless mode index i is an integer and no bool; a type with ``__index__``, such as ``np.int64``, passes."""
+def check_index(i: int, what: str = "mode index") -> None:
+    """Raise PreconditionError unless index i is an integer and no bool; a type with ``__index__``, such as ``np.int64``, passes."""
     if type(i) is not int and (isinstance(i, bool) or not hasattr(type(i), "__index__")):
-        raise PreconditionError(f"mode index must be an integer, got {i!r}")
+        raise PreconditionError(f"{what} must be an integer, got {i!r}")
 
 
 def check_mode(m: int, i: int) -> None:
@@ -269,22 +269,6 @@ def annihilate_component(phi: float, occ: int, i: int) -> tuple[int, complex] | 
     if not occ & bit:
         return None
     return occ ^ bit, reorder_phase(phi, n_left(occ, i)).conjugate()
-
-
-def rotated_create(table: Mapping[int, complex], m: int, row: Sequence[complex]) -> dict[int, complex]:
-    """Apply sum_j row[j] * a+_{j+1} (fermionic sector) to an amplitude table."""
-    out: dict[int, complex] = {}
-    for occ, amp in table.items():
-        for jj in range(m):
-            c = row[jj]
-            if abs(c) <= 1e-16:
-                continue
-            step = create_component(0.0, occ, jj + 1)
-            if step is None:
-                continue
-            occ2, phase = step
-            out[occ2] = out.get(occ2, 0.0) + amp * c * phase
-    return out
 
 
 def apply_create(state: AnyonState, i: int) -> AnyonState:

@@ -81,3 +81,18 @@ def test_bogoliubov_pair_as_the_first_exponential(tmp_path):
         ]
     )
     scipy_modules_after(code, tmp_path)
+
+
+def test_rotation_stays_off_scipy(tmp_path):
+    code = "\n".join(
+        [
+            "import numpy as np",
+            "from anyonsim import BogoliubovPair, apply_induced_bogoliubov, basis_state, reconstruct_from_slater, slater_decompose",
+            "q, _ = np.linalg.qr(np.arange(25.0).reshape(5, 5) + 1j * np.eye(5))",
+            "out = apply_induced_bogoliubov(basis_state('10010', 1.3), BogoliubovPair.from_rotation(q))",
+            "assert abs(out.norm() - 1.0) < 1e-12",
+            "rec = reconstruct_from_slater(slater_decompose(out), 5)",
+            "assert max(abs(rec.amplitude(k) - out.amplitude(k)) for k in range(32)) < 1e-12",
+        ]
+    )
+    assert scipy_modules_after(code, tmp_path) == []

@@ -1,9 +1,9 @@
-"""A mode index is an integer: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
+"""A mode index, or a kept particle slot, is an integer: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
 
 import numpy as np
 import pytest
 
-from anyonsim import AnyonState, PreconditionError, apply_annihilate, apply_create, apply_number
+from anyonsim import AnyonState, PreconditionError, apply_annihilate, apply_create, apply_number, particle_trace_rdm
 from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, run_circuit
 
 PSI = AnyonState(4, 1.1, {0b0011: 0.6 + 0.0j, 0b0101: 0.0 + 0.8j})
@@ -50,3 +50,13 @@ def test_numpy_integer_modes_act_as_python_ints(gate):
         run_circuit(PSI, Circuit(4, PSI.phi, (gate,)))
     )
     assert table_bytes(apply_create(PSI, np.int64(4))) == table_bytes(apply_create(PSI, 4))
+
+
+@pytest.mark.parametrize("keep", [True, 1.5, 2.0, None], ids=repr)
+def test_particle_trace_refuses_a_non_integer_slot(keep):
+    with pytest.raises(PreconditionError, match="kept slot must be an integer"):
+        particle_trace_rdm(PSI, keep)
+
+
+def test_particle_trace_keeps_an_integer_type_slot():
+    assert np.array_equal(particle_trace_rdm(PSI, np.int64(1)).matrix, particle_trace_rdm(PSI, "x").matrix)
