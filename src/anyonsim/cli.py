@@ -49,20 +49,23 @@ EXIT_INVARIANT = 5
 
 DEFAULT_PHI_GRID = "0:6.283185307179586:13"
 DEFAULT_THETA_GRID = "0:3.141592653589793:9"
+#: most (phi, theta) points one ``entropy-scan`` may sweep; the default grid has 117
+_GRID_BUDGET = 10**5
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> tuple[float, float, int]:
+    """A ``start:stop:count`` grid as the arguments of ``np.linspace``."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'start:stop:count', got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("grid count must be >= 1")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 def _load_json(path: str) -> dict:
@@ -186,12 +189,19 @@ def cmd_entropy_scan(args) -> int:
 
     A ``--circuit`` is parsed and validated once, at the first point; every
     later point builds new gates only where the circuit has a null angle.
+    A grid of more than ``_GRID_BUDGET`` points raises PreconditionError
+    before either axis is built.
     """
     check_tol("--tol", args.tol)
     base = _load_state(args)
     circuit_data = _load_json(args.circuit) if args.circuit is not None else None
-    phis = _parse_grid(args.phi_grid)
-    thetas = _parse_grid(args.theta_grid)
+    phi_grid, theta_grid = _parse_grid(args.phi_grid), _parse_grid(args.theta_grid)
+    points = phi_grid[2] * theta_grid[2]
+    if points > _GRID_BUDGET:
+        raise PreconditionError(
+            f"the scan grid has {points} points ({phi_grid[2]} phi x {theta_grid[2]} theta), over the budget of {_GRID_BUDGET}"
+        )
+    phis, thetas = np.linspace(*phi_grid), np.linspace(*theta_grid)
     template = slots = None
     reports: dict[tuple[tuple[int, ...], bytes], SeparabilityReport] = {}
     rows = []

@@ -5,10 +5,11 @@ Two distinct reductions coexist for particle states:
 * the *particle partial trace* integrates out particles by their position
   in the creation string; for exchanged orderings the deformed statistics
   inject explicit phases, which is exactly the mechanism that makes the
-  naive single-particle entropy sector-dependent.  Each ordered
-  annihilation chain ends on the vacuum from exactly one ket, so its
-  amplitude is that ket's amplitude times the chain's ladder phases,
-  computed in closed form without intermediate states (N! chains per ket);
+  naive single-particle entropy sector-dependent.  An ordered annihilation
+  chain ends on the vacuum from exactly one ket, with that ket's amplitude
+  times one exchange phase per inversion of the chain; summed over the
+  orderings of the traced particles this leaves a closed-form weight per
+  pair of kept modes, so each ket is read once and no chain is built;
 * the *one-body matrix* of ladder-bilinear expectations, whose spectrum in
   the fermionic sector is sector-invariant and yields the minimal-entropy
   mode representation that actually decides separability.
@@ -18,11 +19,8 @@ Entropies are reported in bits.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,14 +28,13 @@ import numpy as np
 from .errors import InvariantBreachError, PreconditionError
 from .fastpath import _rotate_table
 from .states import (
-    PRUNE_EPS,
     AnyonState,
-    annihilate_component,
     apply_annihilate,
     check_index,
     check_tol,
     inner_product,
-    occupied_modes,
+    prune,
+    reorder_phase,
 )
 from .transmute import fermionize
 
@@ -48,9 +45,6 @@ _EIG_CUT = 1e-12
 #: between them: it splits off the kernel of the pair normal form, joins
 #: coefficients into degenerate clusters, and bounds the block check
 _Z_FLOOR = 1e-8
-#: most annihilation chains (nnz * N!) one particle trace may enumerate;
-#: 967 680 chains (24 kets, N = 8) took 9-10 s and 400 MB on a 2-core host
-_CHAIN_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -140,35 +134,28 @@ def one_body_rdm(state: AnyonState) -> DensityMatrix:
     return DensityMatrix(one_body_matrix(state) / n)
 
 
-def _chain_amplitudes(state: AnyonState) -> dict[tuple[int, ...], complex]:
-    """Vacuum amplitudes of all ordered annihilation chains of a definite-N state.
+def _trace_weights(phi: float, n: int, slot: int) -> list[complex]:
+    """Entry k is W(k) = sum_b C(k, b) C(n-1-k, slot-1-b) conj(q)^b q^(k-b), with q = ``reorder_phase(phi, 1)``.
 
-    Entry (i_1, ..., i_N) is the amplitude left on the vacuum after
-    applying the mode-i_1 annihilator first, then i_2, and so on.  Only the
-    ket occupying exactly {i_1, ..., i_N} reaches the vacuum, so the entry
-    is that ket's amplitude times the phase of each hop from
-    :func:`~anyonsim.states.annihilate_component`, multiplied in chain
-    order as Python scalars.  A chain is dropped once an intermediate value
-    fails :func:`~anyonsim.states.prune`'s rule, as applying the
-    annihilators one by one would drop it; a non-finite ket amplitude
-    raises as ``prune`` does.  Chains come in lexicographic order.
+    A chain's vacuum amplitude is its ket's amplitude times conj(q) to the
+    number of inversions of the chain.  In the product of the chains with
+    kept modes i < j and the same traced modes in the same order, the
+    inversions among the traced modes cancel.  Of the k traced modes
+    strictly between i and j, each of the b placed before the kept slot
+    leaves conj(q), and each of the others q.  Summed over the orderings
+    of the traced modes, the product is A_i conj(A_j) W(k) times
+    (slot-1)! (n-slot)!, a factor common to all entries that the
+    normalization removes.
     """
-    chains: list[tuple[tuple[int, ...], complex]] = []
-    for occ, amp in state.amplitudes.items():
-        amp = complex(amp)
-        if not cmath.isfinite(amp):
-            raise InvariantBreachError(f"amplitude of ket {occ:#b} is not finite: {amp}")
-        for chain in permutations(occupied_modes(occ, state.m)):
-            cur, val = occ, amp
-            for i in chain:
-                cur, phase = annihilate_component(state.phi, cur, i)
-                val *= phase
-                if not abs(val) > PRUNE_EPS:
-                    break
-            else:
-                chains.append((chain, val))
-    chains.sort(key=itemgetter(0))
-    return dict(chains)
+    q = reorder_phase(phi, 1)
+    qc = q.conjugate()
+    return [
+        sum(
+            math.comb(k, b) * math.comb(n - 1 - k, slot - 1 - b) * qc**b * q ** (k - b)
+            for b in range(max(0, slot - n + k), min(k, slot - 1) + 1)
+        )
+        for k in range(n)
+    ]
 
 
 def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatrix:
@@ -179,11 +166,16 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
     slot; the traced sum runs with no extra phase).  For general N an
     integer slot 1..N (no bool) may be kept.  The result is trace-normalized.
 
-    Chains are grouped by the modes in the traced slots (their context), in
-    order of first appearance; each matrix entry accumulates its products
-    over the contexts in that order.  A state with more than
-    ``_CHAIN_BUDGET`` chains (nnz * N!) raises PreconditionError before
-    any is enumerated.
+    Each ket ``occ`` is read once: for every occupied mode i it lands in the
+    bucket of its context S = ``occ`` without i, the N-1 traced modes.  Each
+    pair i < j in a bucket adds A_i conj(A_j) W(k) to entry (i, j) and the
+    conjugate to entry (j, i), with k the number of modes of S strictly
+    between i and j (see :func:`_trace_weights`).  The work is the sum of
+    the squared bucket sizes, at most nnz N (m-N+1), and no ordering of the
+    traced particles is enumerated.  The table goes through
+    :func:`~anyonsim.states.prune` first: a ket with |amplitude| at or below
+    :data:`~anyonsim.states.PRUNE_EPS` adds nothing, and a non-finite one
+    raises.
     """
     n = _definite_particle_number(state)
     if isinstance(keep, str):
@@ -197,22 +189,24 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
         slot = keep
     if not 1 <= slot <= n:
         raise PreconditionError(f"kept slot {slot} out of range 1..{n}")
-    chains = len(state.amplitudes) * math.factorial(n)
-    if chains > _CHAIN_BUDGET:
-        raise PreconditionError(
-            f"the particle trace would enumerate {chains} annihilation chains"
-            f" ({len(state.amplitudes)} kets x {n}!), over the budget of {_CHAIN_BUDGET}"
-        )
-    buckets: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for chain, value in _chain_amplitudes(state).items():
-        ctx = chain[: slot - 1] + chain[slot:]
-        buckets.setdefault(ctx, []).append((chain[slot - 1] - 1, value))
+    weights = _trace_weights(state.phi, n, slot)
+    buckets: dict[int, list[tuple[int, complex]]] = {}
+    for occ, amp in prune(state.amplitudes).items():
+        amp = complex(amp)
+        rest = occ
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            buckets.setdefault(occ ^ bit, []).append((bit.bit_length() - 1, amp))
     acc = [[0j] * state.m for _ in range(state.m)]
-    for entries in buckets.values():
-        for i, vi in entries:
-            row = acc[i]
-            for j, vj in entries:
-                row[j] += vi * vj.conjugate()
+    for ctx, entries in buckets.items():
+        entries.sort()  # by mode; the modes in a bucket differ, so no amplitudes are compared
+        for x, (i, ai) in enumerate(entries):
+            acc[i][i] += ai * ai.conjugate() * weights[0]
+            for j, aj in entries[x + 1 :]:
+                val = ai * aj.conjugate() * weights[(ctx & ((1 << j) - (2 << i))).bit_count()]
+                acc[i][j] += val
+                acc[j][i] += val.conjugate()
     mat = np.array(acc, dtype=complex)
     tr = np.trace(mat).real
     if tr <= 0.0:

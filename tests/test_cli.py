@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -346,3 +347,33 @@ def test_integral_floats_read_as_integers(tmp_path):
     circ = write_json(tmp_path / "c.json", circuit)
     assert main(["run", "--state", write_json(tmp_path / "s.json", state), "--circuit", circ, "--out", str(as_floats)]) == 0
     assert as_floats.read_bytes() == as_ints.read_bytes()
+
+
+class StillScanning(Exception):
+    """Raised by the alarm below; ``main`` maps no such exception to an exit code."""
+
+
+def test_entropy_scan_over_the_grid_budget_exits_4_before_building_the_grid(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+
+    def scanning(signum, frame):
+        raise StillScanning("still running after 1 s: the grid is being swept")
+
+    # the alarm also stops an unbounded sweep before it takes the host's memory
+    previous = signal.signal(signal.SIGALRM, scanning)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["entropy-scan", "--preset", "split-pair", "--phi-grid", "0:1:1000000", "--theta-grid", "0:1:1000", "--out", str(out)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    assert "error: the scan grid has 1000000000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_entropy_scan_runs_at_the_grid_budget_and_refuses_one_point_over(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli_mod, "_GRID_BUDGET", 6)
+    args = ["entropy-scan", "--preset", "split-pair", "--phi-grid", "0:1:2", "--theta-grid", "0:1:3"]
+    assert main([*args, "--out", str(tmp_path / "scan.csv")]) == 0
+    assert main(["entropy-scan", "--preset", "split-pair", "--phi-grid", "0:1:7", "--theta-grid", "0:1:1"]) == 4
