@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from operator import itemgetter
@@ -36,9 +37,9 @@ from .entanglement import (
 )
 from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
-from .optics import Circuit, GateElement, bs, circuit_from_json_dict, run_circuit, scan_scope
+from .optics import Circuit, GateElement, check_fits, circuit_from_json_dict, run_circuit, scan_scope
 from .presets import PRESETS
-from .states import AnyonState, check_tol, max_amplitude_diff, occ_to_string, state_from_json_dict, wrap_phi
+from .states import PRUNE_EPS, AnyonState, check_tol, max_amplitude_diff, occ_to_string, prune, state_from_json_dict, wrap_phi
 from .transmute import transmute_state
 
 EXIT_OK = 0
@@ -58,11 +59,13 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(spec: str) -> tuple[float, float, int]:
-    """A ``start:stop:count`` grid as the arguments of ``np.linspace``."""
+    """A ``start:stop:count`` grid as the arguments of ``np.linspace``; the bounds must be finite."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'start:stop:count', got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("grid count must be >= 1")
     return start, stop, count
@@ -74,6 +77,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_state(args) -> AnyonState:
+    """The ``--preset`` or ``--state`` input; a state file with no amplitude above ``PRUNE_EPS`` raises PreconditionError."""
     if args.preset is not None:
         try:
             factory = PRESETS[args.preset]
@@ -82,7 +86,10 @@ def _load_state(args) -> AnyonState:
         return factory(wrap_phi(args.phi) if getattr(args, "phi", None) is not None else 0.0)
     if args.state is None:
         raise ValueError("either --state or --preset is required")
-    return state_from_json_dict(_load_json(args.state))
+    state = state_from_json_dict(_load_json(args.state))
+    if not prune(state.amplitudes):
+        raise PreconditionError(f"state has no amplitude above {PRUNE_EPS:g} in magnitude: the zero vector")
+    return state
 
 
 @contextmanager
@@ -98,13 +105,10 @@ def _output(path: str | None):
 def cmd_run(args) -> int:
     check_tol("--tol", args.tol)
     state = _load_state(args)
-    if args.circuit is not None:
-        circuit = circuit_from_json_dict(_load_json(args.circuit))
-    else:
-        circuit = Circuit(state.m, state.phi, ())
-    if circuit.m != state.m:
-        raise PreconditionError(f"circuit is over {circuit.m} modes, state over {state.m}")
+    data = _load_json(args.circuit) if args.circuit is not None else {"m": state.m, "phi": state.phi, "gates": []}
+    circuit = circuit_from_json_dict(data)
     circuit = Circuit(circuit.m, state.phi, circuit.gates)
+    check_fits(state, circuit)
 
     engine = args.engine
     if engine == "both":
@@ -187,14 +191,16 @@ def cmd_entropy_scan(args) -> int:
     bytes reuses its exponential.  Both depend on nothing else, so every
     row keeps its bits.  The scope closes when the loop ends or raises.
 
-    A ``--circuit`` is parsed and validated once, at the first point; every
-    later point builds new gates only where the circuit has a null angle.
-    A grid of more than ``_GRID_BUDGET`` points raises PreconditionError
-    before either axis is built.
+    The circuit, ``--circuit`` or one null-angle ``BS(1, 2)`` over the
+    state's modes, is parsed and validated once, after the grid is built;
+    each point rebinds only its null angles (:func:`_rebind_theta`).  A grid
+    of more than ``_GRID_BUDGET`` points raises PreconditionError before
+    either axis is built.
     """
     check_tol("--tol", args.tol)
     base = _load_state(args)
-    circuit_data = _load_json(args.circuit) if args.circuit is not None else None
+    default = {"m": base.m, "gates": [{"kind": "BS", "i": 1, "j": 2, "theta": None}]}
+    circuit_data = _load_json(args.circuit) if args.circuit is not None else default
     phi_grid, theta_grid = _parse_grid(args.phi_grid), _parse_grid(args.theta_grid)
     points = phi_grid[2] * theta_grid[2]
     if points > _GRID_BUDGET:
@@ -202,7 +208,7 @@ def cmd_entropy_scan(args) -> int:
             f"the scan grid has {points} points ({phi_grid[2]} phi x {theta_grid[2]} theta), over the budget of {_GRID_BUDGET}"
         )
     phis, thetas = np.linspace(*phi_grid), np.linspace(*theta_grid)
-    template = slots = None
+    template, slots = _scan_template(circuit_data, float(thetas[0]), wrap_phi(float(phis[0])))
     reports: dict[tuple[tuple[int, ...], bytes], SeparabilityReport] = {}
     rows = []
     with scan_scope():
@@ -212,13 +218,7 @@ def cmd_entropy_scan(args) -> int:
             state = transmute_state(base, sector)
             for theta in thetas:
                 theta = float(theta)
-                if circuit_data is not None:
-                    if template is None:  # parsed and validated once, where the first point needs it
-                        template, slots = _scan_template(circuit_data, theta, sector)
-                    circ = _rebind_theta(template, slots, theta, sector)
-                else:
-                    circ = Circuit(state.m, sector, (bs(1, 2, theta),))
-                evolved = run_circuit(state, circ)
+                evolved = run_circuit(state, _rebind_theta(template, slots, theta, sector))
                 s_x = von_neumann_entropy(particle_trace_rdm(evolved, keep="x"))
                 s_y = von_neumann_entropy(particle_trace_rdm(evolved, keep="y"))
                 key = _table_key(evolved)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InvariantBreachError, PreconditionError
 from .fastpath import _rotate_table
 from .states import (
+    NORM_ATOL,
     AnyonState,
     apply_annihilate,
     check_index,
@@ -113,6 +114,13 @@ def _definite_particle_number(state: AnyonState) -> int:
     return n
 
 
+def _check_normalized(state: AnyonState, breach: str) -> None:
+    """Raise PreconditionError, ``breach`` blamed on the input, if |psi|^2 is off 1 by more than ``NORM_ATOL`` (NaN fails)."""
+    norm2 = state.norm() ** 2
+    if not abs(norm2 - 1.0) <= NORM_ATOL:
+        raise PreconditionError(f"{breach}: the state is not normalized, |psi|^2 = {norm2:.12g}")
+
+
 def one_body_matrix(state: AnyonState) -> np.ndarray:
     """Raw matrix of ladder bilinears, entry (k, l) = <a+_l a_k>; trace = N."""
     lowered = [apply_annihilate(state, k) for k in range(1, state.m + 1)]
@@ -127,11 +135,20 @@ def one_body_matrix(state: AnyonState) -> np.ndarray:
 
 
 def one_body_rdm(state: AnyonState) -> DensityMatrix:
-    """Trace-one one-body reduced density matrix of a definite-N state."""
+    """Trace-one one-body reduced density matrix of a definite-N state.
+
+    An unnormalized input that breaks the matrix's invariants raises
+    PreconditionError naming |psi|^2.
+    """
     n = _definite_particle_number(state)
     if n < 1:
         raise PreconditionError("one-body reduction needs at least one particle")
-    return DensityMatrix(one_body_matrix(state) / n)
+    mat = one_body_matrix(state) / n
+    try:
+        return DensityMatrix(mat)
+    except InvariantBreachError as exc:
+        _check_normalized(state, str(exc))
+        raise
 
 
 def _trace_weights(phi: float, n: int, slot: int) -> list[complex]:
@@ -231,7 +248,9 @@ def minimal_entropy_modes(state: AnyonState) -> MinimalEntropyModes:
     """Mode representation minimizing the summed per-mode binary entropy.
 
     Computed from the fermionic-sector one-body matrix, whose eigenvalues
-    are independent of the statistics tag of the input.
+    are independent of the statistics tag of the input.  An unnormalized
+    input whose occupations leave [0, 1] raises PreconditionError naming
+    |psi|^2.
     """
     _definite_particle_number(state)
     mat = one_body_matrix(fermionize(state))
@@ -240,7 +259,9 @@ def minimal_entropy_modes(state: AnyonState) -> MinimalEntropyModes:
     evals = evals[order].real
     evecs = evecs[:, order]
     if np.min(evals) < _EIG_FLOOR or np.max(evals) > 1.0 - _EIG_FLOOR:
-        raise InvariantBreachError("mode occupations must lie in [0, 1]")
+        breach = "mode occupations must lie in [0, 1]"
+        _check_normalized(state, breach)
+        raise InvariantBreachError(breach)
     occ = np.clip(evals, 0.0, 1.0)
     e_sp = float(sum(binary_entropy(p) for p in occ))
     return MinimalEntropyModes(evecs, e_sp, occ)
@@ -431,7 +452,8 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     state is separable iff sum_{k>=2} z_k^2 <= ``tol``, and the rank is
     taken with ``rank_tol`` = sqrt(``tol``) on that tail, which makes it 1
     exactly then.  A ``tol`` that is negative or not finite raises
-    PreconditionError.
+    PreconditionError, and so does an unnormalized input that breaks either
+    check, naming |psi|^2.
     """
     check_tol("tol", tol)
     modes = minimal_entropy_modes(state)
@@ -440,7 +462,7 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     if state.particle_number() == 2:
         rank = slater_decompose(state, rank_tol=float(np.sqrt(tol))).rank
         if (rank == 1) != sep:
-            raise InvariantBreachError(
-                f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}"
-            )
+            breach = f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}"
+            _check_normalized(state, breach)
+            raise InvariantBreachError(breach)
     return SeparabilityReport(sep, modes.occupations, modes.mode_basis, modes.e_sp, rank)

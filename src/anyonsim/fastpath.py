@@ -45,8 +45,8 @@ from itertools import chain, combinations, groupby, islice
 import numpy as np
 
 from .errors import FamilyMismatchError, InvariantBreachError, ParticleNumberMismatch, PreconditionError
-from .optics import Circuit, GateElement
-from .states import AnyonState, check_norm_kept, check_occs, prune, same_sector
+from .optics import Circuit, GateElement, check_fits
+from .states import AnyonState, check_norm_kept, check_occs, prune
 
 _UNITARY_ATOL = 1e-10
 #: (input, row set) pairs per stacked determinant call in :func:`_evolve_nc_block`
@@ -291,13 +291,12 @@ def run_circuit_fastpath(state: AnyonState, circuit: Circuit) -> AnyonState:
     """Evolve a state through an in-family circuit without dense exponentials.
 
     The computation happens on the sector-invariant amplitude table, so the
-    result is exact for every phi.  Raises InvariantBreachError if the
-    squared norm moves, by the rule of :func:`~anyonsim.states.check_norm_kept`.
+    result is exact for every phi.  A circuit over other modes or in another
+    sector raises PreconditionError (:func:`~anyonsim.optics.check_fits`).
+    Raises InvariantBreachError if the squared norm moves, by the rule of
+    :func:`~anyonsim.states.check_norm_kept`.
     """
-    if state.m != circuit.m:
-        raise FamilyMismatchError(f"circuit is over {circuit.m} modes, state over {state.m}")
-    if not same_sector(state.phi, circuit.phi):
-        raise FamilyMismatchError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
+    check_fits(state, circuit)
     check_family(circuit, allow_pa=True)
     evolved = AnyonState(state.m, state.phi, _evolve_table(dict(state.amplitudes), circuit))
     check_norm_kept(state, evolved)

@@ -423,6 +423,14 @@ def apply_fswap(state: AnyonState, i: int, j: int) -> AnyonState:
     return AnyonState(state.m, state.phi, prune(out))
 
 
+def check_fits(state: AnyonState, circuit: Circuit) -> None:
+    """Raise PreconditionError unless the circuit is over the state's modes and in its sector."""
+    if state.m != circuit.m:
+        raise PreconditionError(f"circuit is over {circuit.m} modes, state over {state.m}")
+    if not same_sector(state.phi, circuit.phi):
+        raise PreconditionError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
+
+
 def run_circuit(state: AnyonState, circuit: Circuit) -> AnyonState:
     """Left-to-right application of a circuit (first listed gate acts first).
 
@@ -430,10 +438,7 @@ def run_circuit(state: AnyonState, circuit: Circuit) -> AnyonState:
     ``NORM_ATOL * max(1, |in|^2)`` (:func:`~anyonsim.states.check_norm_kept`):
     every gate is unitary.
     """
-    if state.m != circuit.m:
-        raise PreconditionError(f"circuit is over {circuit.m} modes, state over {state.m}")
-    if not same_sector(state.phi, circuit.phi):
-        raise PreconditionError(f"circuit sector phi={circuit.phi} does not match state phi={state.phi}")
+    check_fits(state, circuit)
     out = state
     for gate in circuit.gates:
         out = apply_gate(out, gate)

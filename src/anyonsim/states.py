@@ -77,11 +77,6 @@ def occ_from_bits(bits: Iterable[int]) -> int:
     return occ
 
 
-def occupied_modes(occ: int, m: int) -> tuple[int, ...]:
-    """1-based indices of occupied modes, increasing."""
-    return tuple(i for i in range(1, m + 1) if occ >> (i - 1) & 1)
-
-
 def n_left(occ: int, i: int) -> int:
     """Number of occupied modes strictly below mode i."""
     return (occ & ((1 << (i - 1)) - 1)).bit_count()

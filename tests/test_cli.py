@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -377,3 +378,75 @@ def test_entropy_scan_runs_at_the_grid_budget_and_refuses_one_point_over(monkeyp
     args = ["entropy-scan", "--preset", "split-pair", "--phi-grid", "0:1:2", "--theta-grid", "0:1:3"]
     assert main([*args, "--out", str(tmp_path / "scan.csv")]) == 0
     assert main(["entropy-scan", "--preset", "split-pair", "--phi-grid", "0:1:7", "--theta-grid", "0:1:1"]) == 4
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ([("1100", 3.0)], "error: mode occupations must lie in [0, 1]: the state is not normalized, |psi|^2 = 9\n"),
+        ([("1100", 0.5), ("1001", 0.5)], "the state is not normalized, |psi|^2 = 0.5\n"),
+    ],
+)
+def test_unnormalized_state_scan_exits_4(tmp_path, capsys, amplitudes, message):
+    table = [{"occ": occ, "re": re, "im": 0.0} for occ, re in amplitudes]
+    state = write_json(tmp_path / "s.json", {"m": 4, "phi": 0.0, "amplitudes": table})
+    out = tmp_path / "scan.csv"
+    assert main(["entropy-scan", "--state", state, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.endswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "entropy-scan", "schmidt"])
+@pytest.mark.parametrize("amplitudes", [[], [{"occ": "1100", "re": 0.0, "im": 0.0}, {"occ": "1001", "re": 1e-15, "im": 0.0}]])
+def test_zero_norm_state_exits_4(tmp_path, capsys, command, amplitudes):
+    state = write_json(tmp_path / "s.json", {"m": 4, "phi": 0.0, "amplitudes": amplitudes})
+    out = tmp_path / "out.txt"
+    assert main([command, "--state", state, "--out", str(out)]) == 4
+    assert "error: state has no amplitude above 1e-14" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["--phi-grid", "--theta-grid"])
+@pytest.mark.parametrize("spec", ["0:inf:2", "-inf:1:2", "nan:1:2", "0:nan:1"])
+def test_non_finite_grid_bound_exits_2_without_a_warning(capsys, axis, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["entropy-scan", "--preset", "split-pair", f"{axis}={spec}"]) == 2
+    assert capsys.readouterr().err == f"input error: grid bounds must be finite, got {spec!r}\n"
+
+
+@pytest.mark.parametrize("spec, message", [("0:1", "grid must be 'start:stop:count'"), ("0:1:0", "grid count must be >= 1")])
+def test_malformed_grid_exits_2(capsys, spec, message):
+    assert main(["entropy-scan", "--preset", "split-pair", "--phi-grid", spec]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_preset_exits_2(capsys):
+    assert main(["run", "--preset", "no-such-preset"]) == 2
+    assert "input error: unknown preset 'no-such-preset'" in capsys.readouterr().err
+
+
+def test_occupation_of_the_wrong_width_exits_4(tmp_path, capsys):
+    state = write_json(tmp_path / "s.json", {"m": 4, "phi": 0.0, "amplitudes": [{"occ": "110", "re": 1.0, "im": 0.0}]})
+    assert main(["run", "--state", state]) == 4
+    assert "error: occupation '110' does not have 4 modes" in capsys.readouterr().err
+
+
+def test_engine_both_refuses_amplitudes_that_disagree(tmp_path, capsys, monkeypatch):
+    def off_by_a_micro(state, circuit):
+        out = cli_mod.run_circuit(state, circuit)
+        return states_mod.AnyonState(out.m, out.phi, {occ: amp + 1e-6 for occ, amp in out.amplitudes.items()})
+
+    monkeypatch.setattr(cli_mod, "run_circuit_fastpath", off_by_a_micro)
+    circ = write_json(tmp_path / "c.json", circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.4), ps(2, 0.9)))))
+    out = tmp_path / "both.csv"
+    assert main(["run", "--preset", "split-pair", "--circuit", circ, "--engine", "both", "--out", str(out)]) == 5
+    assert "internal error: dense and fast-path amplitudes differ by 1.000e-06 > tol 1e-10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["dense", "fastpath", "both"])
+def test_run_refuses_a_circuit_over_other_modes_before_the_family_check(tmp_path, capsys, engine):
+    circ = write_json(tmp_path / "c.json", circuit_to_json_dict(Circuit(5, 0.0, (bs(1, 4, 0.4),))))
+    assert main(["run", "--preset", "split-pair", "--circuit", circ, "--engine", engine]) == 4
+    assert capsys.readouterr().err == "error: circuit is over 5 modes, state over 4\n"

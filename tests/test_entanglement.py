@@ -242,3 +242,15 @@ def test_is_separable_rank_two_preset():
         assert not report.separable
         assert report.slater_rank == 2
         assert report.e_sp > 0.5
+
+
+@pytest.mark.parametrize("call", [is_separable, one_body_rdm, minimal_entropy_modes])
+def test_unnormalized_input_is_a_precondition_failure(call):
+    with pytest.raises(PreconditionError, match=r"\|psi\|\^2 = 9"):
+        call(AnyonState(4, 0.0, {0b0011: 3.0 + 0.0j}))
+
+
+def test_unnormalized_input_that_splits_the_two_verdicts_is_a_precondition_failure():
+    # occupations 1/2 say entangled, the normalized pair form says rank 1
+    with pytest.raises(PreconditionError, match=r"disagrees .* \|psi\|\^2 = 0.5$"):
+        is_separable(AnyonState(4, 0.0, {0b0011: 0.5 + 0.0j, 0b1001: 0.5 + 0.0j}))

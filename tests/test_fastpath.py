@@ -175,3 +175,13 @@ def test_worked_example_amplitudes_via_fastpath():
     x2 = 0b1001  # modes 1 and 4
     assert abs(amplitude_number_conserving(u, x2, 0b1001) - np.cos(theta)) < 1e-12
     assert abs(amplitude_number_conserving(u, x2, 0b1010) - 1j * np.sin(theta)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "circuit, match",
+    [(Circuit(3, 0.0, (bs(1, 2, 0.3),)), "over 3 modes"), (Circuit(4, 1.0, (bs(1, 2, 0.3),)), "sector")],
+)
+def test_run_circuit_fastpath_refuses_a_circuit_that_does_not_fit(circuit, match):
+    # a mode or sector mismatch has nothing to do with the gate family
+    with pytest.raises(PreconditionError, match=match):
+        run_circuit_fastpath(basis_state("1100", 0.0), circuit)
