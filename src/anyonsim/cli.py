@@ -77,15 +77,18 @@ def _load_json(path: str) -> dict:
 
 
 def _load_state(args) -> AnyonState:
-    """The ``--preset`` or ``--state`` input; a state file with no amplitude above ``PRUNE_EPS`` raises PreconditionError."""
+    """Exactly one of ``--preset`` and ``--state``; a state file with no amplitude above ``PRUNE_EPS`` raises PreconditionError."""
+    if (args.preset is None) == (args.state is None):
+        raise ValueError("exactly one of --state and --preset is required")
+    phi = getattr(args, "phi", None)
     if args.preset is not None:
         try:
             factory = PRESETS[args.preset]
         except KeyError:
             raise ValueError(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
-        return factory(wrap_phi(args.phi) if getattr(args, "phi", None) is not None else 0.0)
-    if args.state is None:
-        raise ValueError("either --state or --preset is required")
+        return factory(wrap_phi(phi) if phi is not None else 0.0)
+    if phi is not None:
+        raise ValueError("--phi retags a preset; a --state file carries its own phi")
     state = state_from_json_dict(_load_json(args.state))
     if not prune(state.amplitudes):
         raise PreconditionError(f"state has no amplitude above {PRUNE_EPS:g} in magnitude: the zero vector")

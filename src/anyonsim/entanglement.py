@@ -114,11 +114,11 @@ def _definite_particle_number(state: AnyonState) -> int:
     return n
 
 
-def _check_normalized(state: AnyonState, breach: str) -> None:
-    """Raise PreconditionError, ``breach`` blamed on the input, if |psi|^2 is off 1 by more than ``NORM_ATOL`` (NaN fails)."""
+def _check_normalized(state: AnyonState) -> None:
+    """Raise PreconditionError if |psi|^2 is off 1 by more than ``NORM_ATOL`` (NaN fails); the table is only read."""
     norm2 = state.norm() ** 2
     if not abs(norm2 - 1.0) <= NORM_ATOL:
-        raise PreconditionError(f"{breach}: the state is not normalized, |psi|^2 = {norm2:.12g}")
+        raise PreconditionError(f"the state is not normalized, |psi|^2 = {norm2:.12g}")
 
 
 def one_body_matrix(state: AnyonState) -> np.ndarray:
@@ -135,20 +135,16 @@ def one_body_matrix(state: AnyonState) -> np.ndarray:
 
 
 def one_body_rdm(state: AnyonState) -> DensityMatrix:
-    """Trace-one one-body reduced density matrix of a definite-N state.
+    """Trace-one one-body reduced density matrix of a normalized definite-N state.
 
-    An unnormalized input that breaks the matrix's invariants raises
-    PreconditionError naming |psi|^2.
+    An input with |psi|^2 off 1 by more than ``NORM_ATOL`` raises
+    PreconditionError naming |psi|^2 before anything is computed.
     """
+    _check_normalized(state)
     n = _definite_particle_number(state)
     if n < 1:
         raise PreconditionError("one-body reduction needs at least one particle")
-    mat = one_body_matrix(state) / n
-    try:
-        return DensityMatrix(mat)
-    except InvariantBreachError as exc:
-        _check_normalized(state, str(exc))
-        raise
+    return DensityMatrix(one_body_matrix(state) / n)
 
 
 def _trace_weights(phi: float, n: int, slot: int) -> list[complex]:
@@ -248,10 +244,11 @@ def minimal_entropy_modes(state: AnyonState) -> MinimalEntropyModes:
     """Mode representation minimizing the summed per-mode binary entropy.
 
     Computed from the fermionic-sector one-body matrix, whose eigenvalues
-    are independent of the statistics tag of the input.  An unnormalized
-    input whose occupations leave [0, 1] raises PreconditionError naming
-    |psi|^2.
+    are independent of the statistics tag of the input.  An input with
+    |psi|^2 off 1 by more than ``NORM_ATOL`` raises PreconditionError naming
+    |psi|^2 before anything is computed.
     """
+    _check_normalized(state)
     _definite_particle_number(state)
     mat = one_body_matrix(fermionize(state))
     evals, evecs = np.linalg.eigh(mat)
@@ -259,9 +256,7 @@ def minimal_entropy_modes(state: AnyonState) -> MinimalEntropyModes:
     evals = evals[order].real
     evecs = evecs[:, order]
     if np.min(evals) < _EIG_FLOOR or np.max(evals) > 1.0 - _EIG_FLOOR:
-        breach = "mode occupations must lie in [0, 1]"
-        _check_normalized(state, breach)
-        raise InvariantBreachError(breach)
+        raise InvariantBreachError("mode occupations must lie in [0, 1]")
     occ = np.clip(evals, 0.0, 1.0)
     e_sp = float(sum(binary_entropy(p) for p in occ))
     return MinimalEntropyModes(evecs, e_sp, occ)
@@ -452,8 +447,8 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     state is separable iff sum_{k>=2} z_k^2 <= ``tol``, and the rank is
     taken with ``rank_tol`` = sqrt(``tol``) on that tail, which makes it 1
     exactly then.  A ``tol`` that is negative or not finite raises
-    PreconditionError, and so does an unnormalized input that breaks either
-    check, naming |psi|^2.
+    PreconditionError, and so does an input with |psi|^2 off 1 by more
+    than ``NORM_ATOL``, before either verdict is computed.
     """
     check_tol("tol", tol)
     modes = minimal_entropy_modes(state)
@@ -462,7 +457,5 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     if state.particle_number() == 2:
         rank = slater_decompose(state, rank_tol=float(np.sqrt(tol))).rank
         if (rank == 1) != sep:
-            breach = f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}"
-            _check_normalized(state, breach)
-            raise InvariantBreachError(breach)
+            raise InvariantBreachError(f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}")
     return SeparabilityReport(sep, modes.occupations, modes.mode_basis, modes.e_sp, rank)

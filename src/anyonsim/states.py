@@ -328,7 +328,7 @@ def state_to_json_dict(state: AnyonState) -> dict:
 
 
 def state_from_json_dict(data: dict) -> AnyonState:
-    """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as the CLI's ``--phi`` is."""
+    """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as ``--phi`` is, and a repeated occupation raises ValueError."""
     m = json_int("m", data["m"])
     phi = wrap_phi(json_float("phi", data["phi"]))
     table: dict[int, complex] = {}
@@ -338,8 +338,10 @@ def state_from_json_dict(data: dict) -> AnyonState:
         occ = occ_from_string(entry["occ"])
         if len(entry["occ"]) != m:
             raise PreconditionError(f"occupation {entry['occ']!r} does not have {m} modes")
+        if occ in table:
+            raise ValueError(f"occupation {entry['occ']!r} appears twice")
         amp = complex(json_float("re", entry["re"]), json_float("im", entry["im"]))
         if not cmath.isfinite(amp):
             raise PreconditionError(f"amplitude of {entry['occ']!r} is not finite: {amp}")
-        table[occ] = table.get(occ, 0.0) + amp
+        table[occ] = 0.0 + amp  # stores a -0.0 part as +0.0
     return AnyonState(m, phi, table)

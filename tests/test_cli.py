@@ -383,7 +383,7 @@ def test_entropy_scan_runs_at_the_grid_budget_and_refuses_one_point_over(monkeyp
 @pytest.mark.parametrize(
     "amplitudes, message",
     [
-        ([("1100", 3.0)], "error: mode occupations must lie in [0, 1]: the state is not normalized, |psi|^2 = 9\n"),
+        ([("1100", 3.0)], "error: the state is not normalized, |psi|^2 = 9\n"),
         ([("1100", 0.5), ("1001", 0.5)], "the state is not normalized, |psi|^2 = 0.5\n"),
     ],
 )
@@ -393,6 +393,46 @@ def test_unnormalized_state_scan_exits_4(tmp_path, capsys, amplitudes, message):
     out = tmp_path / "scan.csv"
     assert main(["entropy-scan", "--state", state, "--out", str(out)]) == 4
     assert capsys.readouterr().err.endswith(message)
+    assert not out.exists()
+
+
+def test_unnormalized_state_that_breaks_no_invariant_is_refused_before_the_scan(tmp_path, capsys):
+    # two-slater at |psi|^2 = 0.5: occupations 1/4 stay inside [0, 1] and the pair form agrees on rank 2
+    table = [{"occ": occ, "re": 0.5, "im": 0.0} for occ in ("1100", "0011")]
+    state = write_json(tmp_path / "s.json", {"m": 4, "phi": 0.0, "amplitudes": table})
+    out = tmp_path / "scan.csv"
+    assert main(["entropy-scan", "--state", state, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: the state is not normalized, |psi|^2 = 0.5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("both", [True, False])
+@pytest.mark.parametrize("command", ["run", "entropy-scan", "schmidt"])
+def test_state_and_preset_together_or_neither_exit_2(tmp_path, capsys, command, both):
+    state = write_json(tmp_path / "s.json", state_to_json_dict(split_pair()))
+    inputs = ["--state", state, "--preset", "split-pair"] if both else []
+    out = tmp_path / "out.txt"
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: exactly one of --state and --preset is required\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "schmidt"])
+def test_phi_with_a_state_file_exits_2(tmp_path, capsys, command):
+    state = write_json(tmp_path / "s.json", state_to_json_dict(split_pair()))
+    out = tmp_path / "out.txt"
+    assert main([command, "--state", state, "--phi", "0.3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: --phi retags a preset; a --state file carries its own phi\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "entropy-scan", "schmidt"])
+def test_an_occupation_listed_twice_exits_2(tmp_path, capsys, command):
+    table = [{"occ": "1100", "re": 1.0, "im": 0.0}, {"occ": "1100", "re": 1.0, "im": 0.0}]
+    state = write_json(tmp_path / "s.json", {"m": 4, "phi": 0.0, "amplitudes": table})
+    out = tmp_path / "out.txt"
+    assert main([command, "--state", state, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: occupation '1100' appears twice\n"
     assert not out.exists()
 
 

@@ -250,7 +250,27 @@ def test_unnormalized_input_is_a_precondition_failure(call):
         call(AnyonState(4, 0.0, {0b0011: 3.0 + 0.0j}))
 
 
+def test_unnormalized_input_that_breaks_no_invariant_is_refused():
+    # normalized, one three-particle ket is separable with E_SP 0; at |psi|^2 = 1/4 it read False and 2.43
+    assert is_separable(AnyonState(6, 0.0, {0b111: 1.0 + 0.0j})).e_sp == 0.0
+    with pytest.raises(PreconditionError, match=r"^the state is not normalized, \|psi\|\^2 = 0.25$"):
+        is_separable(AnyonState(6, 0.0, {0b111: 0.5 + 0.0j}))
+
+
+@pytest.mark.parametrize("call", [minimal_entropy_modes, one_body_rdm])
+def test_unnormalized_two_slater_is_refused_by_each_one_body_analysis(call):
+    # occupations 1/4 lie inside [0, 1], and the one-body trace check would see 1/2
+    state = AnyonState(4, 0.0, {0b0011: 0.5 + 0.0j, 0b1100: 0.5 + 0.0j})
+    with pytest.raises(PreconditionError, match=r"^the state is not normalized, \|psi\|\^2 = 0.5$"):
+        call(state)
+
+
+def test_normalization_is_checked_before_the_particle_number():
+    with pytest.raises(PreconditionError, match=r"^the state is not normalized, \|psi\|\^2 = 2$"):
+        minimal_entropy_modes(AnyonState(4, 0.0, {0b0001: 1.0 + 0.0j, 0b0011: 1.0 + 0.0j}))
+
+
 def test_unnormalized_input_that_splits_the_two_verdicts_is_a_precondition_failure():
     # occupations 1/2 say entangled, the normalized pair form says rank 1
-    with pytest.raises(PreconditionError, match=r"disagrees .* \|psi\|\^2 = 0.5$"):
+    with pytest.raises(PreconditionError, match=r"^the state is not normalized, \|psi\|\^2 = 0.5$"):
         is_separable(AnyonState(4, 0.0, {0b0011: 0.5 + 0.0j, 0b1001: 0.5 + 0.0j}))

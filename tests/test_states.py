@@ -183,3 +183,9 @@ def test_normalized():
     assert st.normalized().amplitudes == {0: 1.0 + 0.0j}
     with pytest.raises(PreconditionError):
         AnyonState(2, 0.0, {}).normalized()
+
+
+def test_state_json_refuses_an_occupation_listed_twice():
+    entry = {"occ": "1100", "re": 1.0, "im": 0.0}
+    with pytest.raises(ValueError, match=r"^occupation '1100' appears twice$"):
+        state_from_json_dict({"m": 4, "phi": 0.0, "amplitudes": [entry, dict(entry)]})
