@@ -108,9 +108,9 @@ def _output(path: str | None):
 def cmd_run(args) -> int:
     check_tol("--tol", args.tol)
     state = _load_state(args)
-    data = _load_json(args.circuit) if args.circuit is not None else {"m": state.m, "phi": state.phi, "gates": []}
-    circuit = circuit_from_json_dict(data)
-    circuit = Circuit(circuit.m, state.phi, circuit.gates)
+    data = _load_json(args.circuit) if args.circuit is not None else {"m": state.m, "gates": []}
+    # the circuit runs in the state's sector, so its own phi field is never read
+    circuit = circuit_from_json_dict({**data, "phi": state.phi})
     check_fits(state, circuit)
 
     engine = args.engine
@@ -132,10 +132,9 @@ def cmd_run(args) -> int:
             raise InvariantBreachError(f"dense and fast-path amplitudes differ by {delta:.3e} > tol {args.tol:g}")
 
     rows = sorted(((occ_to_string(occ, final.m), amp) for occ, amp in final.amplitudes.items()), key=itemgetter(0))
+    body = "".join(f"{occ},{_fmt(amp.real)},{_fmt(amp.imag)}\n" for occ, amp in rows)
     with _output(args.out) as out:
-        out.write("occ,re,im\n")
-        for occ, amp in rows:
-            out.write(f"{occ},{_fmt(amp.real)},{_fmt(amp.imag)}\n")
+        out.write("occ,re,im\n" + body)
     return EXIT_OK
 
 

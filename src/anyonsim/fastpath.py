@@ -18,10 +18,21 @@ chunk of (input, row set) pairs.  This is exact: every skipped minor has a
 zero row or a zero column, LU returns exactly +-0 for it once the transfer
 matrix has no subnormal part, and adding +-0 leaves a running total's bits
 unchanged, so the table is bit for bit that of the full C(m, N)
-enumeration.  Target row sets stream from the union of a sector's cones;
-a segment that would enumerate more than ``_MINOR_BUDGET`` of them, or
-evaluate more minors than that, is refused with
-:class:`~anyonsim.errors.PreconditionError`.
+enumeration.  A row that is the only live row of some column of every
+input of a sector is forced: a row set without it has a zero column for
+every input, so its amplitude is exactly 0 and it is never enumerated.
+Target row sets stream from the union of a sector's cones, each the forced
+rows F plus N - |F| other rows; inserting the same rows into every set
+keeps the lexicographic order, and with it the bits.  A block of row sets
+keeps its (input, row set, row) cone test within ``_BLOCK_CELLS`` cells
+(one row set at least), and its pairs go to ``np.linalg.det``
+``_DET_CHUNK`` at a time.  The budget counts this
+reduced enumeration: a segment that would enumerate more than
+``_MINOR_BUDGET`` row sets, C(|union| - |F|, N - |F|), or evaluate more
+minors than that, the sum over the inputs of C(|cone| - |F|, N - |F|), is
+refused with :class:`~anyonsim.errors.PreconditionError`.  A right-edge
+staircase ``BS(20, 21)`` ... ``BS(39, 40)`` on 20 particles in 40 modes
+forces 19 rows and evaluates 21 minors out of C(40, 20).
 
 Every other single-particle rotation (``apply_induced_bogoliubov`` with
 V = 0, ``reconstruct_from_slater``) runs here too, through
@@ -51,6 +62,8 @@ from .states import AnyonState, check_norm_kept, check_occs, prune
 _UNITARY_ATOL = 1e-10
 #: (input, row set) pairs per stacked determinant call in :func:`_evolve_nc_block`
 _DET_CHUNK = 1024
+#: most (input, row set, row) cells in one block of :func:`_sector_blocks`
+_BLOCK_CELLS = 64 * _DET_CHUNK
 #: most minors one compiled segment may evaluate, about 20 s of 7 x 7 determinants
 _MINOR_BUDGET = 10**7
 #: smallest normal float; smaller transfer-matrix parts are flushed to zero
@@ -76,21 +89,16 @@ class SingleParticleUnitary:
         return self.matrix.shape[0]
 
 
-def _gate_transfer(gate: GateElement, m: int) -> np.ndarray:
-    """Transfer matrix of a PS, BS or FSWAP that :func:`check_family` has admitted."""
-    t = np.eye(m, dtype=complex)
+def _gate_entries(gate: GateElement) -> tuple[tuple[int, int, complex], ...]:
+    """The (row, column, value) entries, 0-based, where a PS, BS or FSWAP that :func:`check_family` has admitted differs from the identity."""
+    a = gate.i - 1
     if gate.kind == "PS":
-        t[gate.i - 1, gate.i - 1] = cmath.exp(1j * gate.theta)
-        return t
-    a, b = gate.i - 1, gate.j - 1
+        return ((a, a, cmath.exp(1j * gate.theta)),)
+    b = gate.j - 1
     if gate.kind == "BS":
         c, s = np.cos(gate.theta), np.sin(gate.theta)
-        t[a, a] = t[b, b] = c
-        t[a, b] = t[b, a] = 1j * s
-    else:
-        t[a, a] = t[b, b] = 0.0
-        t[a, b] = t[b, a] = 1.0
-    return t
+        return ((a, a, c), (b, b, c), (a, b, 1j * s), (b, a, 1j * s))
+    return ((a, a, 0.0), (b, b, 0.0), (a, b, 1.0), (b, a, 1.0))
 
 
 def check_family(circuit: Circuit, allow_pa: bool = False) -> None:
@@ -113,12 +121,21 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     """Fold a number-conserving circuit into one transfer matrix.
 
     Gates compose left to right: the first listed gate multiplies first.
-    Real and imaginary parts below the smallest normal float are set to 0.
+    One identity buffer serves the whole segment: each gate writes its
+    entries into it, multiplies the running total by all of it, and puts
+    the identity back.  Real and imaginary parts below the smallest normal
+    float are set to 0.
     """
     check_family(circuit, allow_pa=False)
-    total = np.eye(circuit.m, dtype=complex)
+    t = np.eye(circuit.m, dtype=complex)
+    total = t.copy()
     for gate in circuit.gates:
-        total = _gate_transfer(gate, circuit.m) @ total
+        entries = _gate_entries(gate)
+        for r, c, value in entries:
+            t[r, c] = value
+        total = t @ total
+        for r, c, _ in entries:
+            t[r, c] = 1.0 if r == c else 0.0
     return _flushed(total)
 
 
@@ -158,39 +175,51 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
     return complex(np.linalg.det(u.matrix[:, _occupied(x, u.m)][_occupied(y, u.m)]))
 
 
-def _sector_blocks(cones: np.ndarray, n: int):
+def _sector_blocks(cones: np.ndarray, forced: np.ndarray, n: int):
     """Target row sets of one particle-number sector, and the (input, target) pairs to evaluate.
 
-    ``cones[i]`` is input ``i``'s light cone as a boolean row mask.  Yields
-    ``(rows, who, at)``: a block of target row sets streamed in
-    lexicographic order from the union of the cones, about ``_DET_CHUNK``
-    pairs per block, and the pairs whose target ``rows[at]`` lies inside
-    input ``who``'s cone, grouped by input in table order.
+    ``cones[i]`` is input ``i``'s light cone as a boolean row mask, and
+    ``forced`` the rows every row set holds: increasing, and inside every
+    cone.  Yields ``(rows, who, at)``: a block of target row sets, each the
+    forced rows plus N - |forced| other rows of the cones' union, streamed
+    in lexicographic order, and the pairs whose target ``rows[at]`` lies
+    inside input ``who``'s cone, grouped by input in table order.  A block
+    holds as many row sets as keep its (input, row set, row) cone test
+    within ``_BLOCK_CELLS`` cells.
     """
     dtype = np.min_scalar_type(cones.shape[1])
-    flat_rows = chain.from_iterable(combinations(np.flatnonzero(cones.any(axis=0)).tolist(), n))
-    per_block = max(1, _DET_CHUNK // len(cones))
-    while (flat := np.fromiter(islice(flat_rows, per_block * n), dtype=dtype)).size:
-        rows = flat.reshape(-1, n)
+    pinned = forced.astype(dtype)
+    free = cones.any(axis=0)
+    free[forced] = False
+    free_rows, k = np.flatnonzero(free).tolist(), n - len(forced)
+    flat = chain.from_iterable(combinations(free_rows, k))
+    count = math.comb(len(free_rows), k)
+    per_block = max(1, _BLOCK_CELLS // (len(cones) * n))
+    for start in range(0, count, per_block):
+        size = min(per_block, count - start)
+        rows = np.fromiter(islice(flat, size * k), dtype=dtype, count=size * k).reshape(size, k)
+        # the forced rows lie in every cone, so the other rows decide the test
         who, at = np.nonzero(cones[:, rows].all(axis=2))
+        if len(pinned):
+            rows = np.sort(np.hstack((rows, np.broadcast_to(pinned, (size, len(pinned))))), axis=1)
         yield rows, who, at
 
 
 def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dict[int, complex]:
     """Apply a compiled segment to every particle-number sector of a table.
 
-    Only the row sets inside an input's light cone that meet every input
-    column are evaluated (see the module docstring for why that is exact).
-    Each target's amplitude accumulates over the inputs in table order, and
-    targets come out in lexicographic order within each sector, as the full
-    enumeration gives them.  Output bitmasks are summed as Python ints, so
-    any ``m`` works.
+    Only the row sets that hold the sector's forced rows F, lie inside an
+    input's light cone and meet every input column are evaluated (see the
+    module docstring for why that is exact).  Each target's amplitude
+    accumulates over the inputs in table order, and targets come out in
+    lexicographic order within each sector, as the full enumeration gives
+    them.  Output bitmasks are summed as Python ints, so any ``m`` works.
 
     Raises InvariantBreachError if ``u`` has a subnormal part, and
     PreconditionError, before evaluating anything, if the segment would
     enumerate more than ``_MINOR_BUDGET`` minors: per sector, the larger of
-    the row sets of the cones' union and the sum of C(|cone|, N) over the
-    inputs.
+    C(|union of the cones| - |F|, N - |F|) and the sum over the inputs of
+    C(|cone| - |F|, N - |F|).
     """
     m = u.m
     parts = np.abs(np.stack([u.matrix.real, u.matrix.imag]))
@@ -213,10 +242,13 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             # each row's live columns as packed bits: a row set meets every
             # column when the OR of its rows' bits is all ones
             hits = np.packbits(live, axis=2)
-            sectors[n] = (cols, hits, cones)
+            pins = live & (live.sum(axis=1) == 1)[:, None, :]  # the one live row of a column
+            forced = np.flatnonzero(pins.any(axis=2).all(axis=0))
+            sectors[n] = (cols, hits, cones, forced)
+            f = len(forced)
             work += max(
-                math.comb(int(cones.any(axis=0).sum()), n),
-                sum(math.comb(k, n) for k in cones.sum(axis=1).tolist()),
+                math.comb(int(cones.any(axis=0).sum()) - f, n - f),
+                sum(math.comb(k - f, n - f) for k in cones.sum(axis=1).tolist()),
             )
     if work > _MINOR_BUDGET:
         raise PreconditionError(
@@ -229,10 +261,10 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
             for occ in occs:
                 out[occ] = out.get(occ, 0.0) + table[occ]
             continue
-        cols, hits, cones = sectors[n]
+        cols, hits, cones, forced = sectors[n]
         every_column = np.packbits(np.ones(n, dtype=bool))
         amps = np.array([table[occ] for occ in occs], dtype=complex)
-        for rows, who, at in _sector_blocks(cones, n):
+        for rows, who, at in _sector_blocks(cones, forced, n):
             totals = np.zeros(len(rows), dtype=complex)
             for start in range(0, len(who), _DET_CHUNK):
                 w, a = who[start : start + _DET_CHUNK], at[start : start + _DET_CHUNK]

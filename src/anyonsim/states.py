@@ -63,8 +63,10 @@ def occ_from_string(s: str) -> int:
 
 
 def occ_to_string(occ: int, m: int) -> str:
-    """Render a bitmask as an occupation string, mode 1 first."""
-    return "".join("1" if occ >> i & 1 else "0" for i in range(m))
+    """Render a bitmask as an occupation string, mode 1 first; bits at or above ``m`` are not shown."""
+    if m <= 0:
+        return ""
+    return format(occ & ((1 << m) - 1), f"0{m}b")[::-1]
 
 
 def occ_from_bits(bits: Iterable[int]) -> int:

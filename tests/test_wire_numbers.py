@@ -58,7 +58,7 @@ def not_numbers(fields, nullable=()):
     return [(f, v) for f in fields for v in NOT_NUMBERS if not (v is None and f in nullable)]
 
 
-@pytest.mark.parametrize("field, value", not_numbers(["m", "phi", "i", "j", "theta"], nullable=("j", "theta")), ids=repr)
+@pytest.mark.parametrize("field, value", not_numbers(["m", "i", "j", "theta"], nullable=("j", "theta")), ids=repr)
 def test_run_circuit_with_a_non_number_exits_2(tmp_path, capsys, field, value):
     circ = write_json(tmp_path / "c.json", with_gate_field(field, value))
     out = tmp_path / "amps.csv"
@@ -66,6 +66,19 @@ def test_run_circuit_with_a_non_number_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, "x", KeyError], ids=lambda v: "missing" if v is KeyError else repr(v))
+def test_run_does_not_read_the_circuit_phi(tmp_path, capsys, value):
+    # the circuit runs in the state's sector, as in entropy-scan
+    circuit = with_gate_field("phi", value)
+    if value is KeyError:
+        del circuit["phi"]
+    ref, out = tmp_path / "ref.csv", tmp_path / "amps.csv"
+    assert main(["run", "--preset", "split-pair", "--circuit", write_json(tmp_path / "ref.json", CIRCUIT), "--out", str(ref)]) == 0
+    assert main(["run", "--preset", "split-pair", "--circuit", write_json(tmp_path / "c.json", circuit), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text() == ref.read_text()
 
 
 @pytest.mark.parametrize("field, value", not_numbers(["m", "i", "j"], nullable=("j",)), ids=repr)
