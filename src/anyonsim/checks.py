@@ -15,7 +15,7 @@ import numpy as np
 
 from . import states
 from .operators import annihilation, apply_operator_expr, creation, identity_expr, number
-from .optics import Circuit, apply_fswap, apply_gate, bs, decompose_distant, fswap, pa, ps, run_circuit
+from .optics import ANGLED_KINDS, Circuit, apply_fswap, apply_gate, bs, decompose_distant, fswap, pa, ps, run_circuit
 from .fastpath import anyonic_amplitude_via_fastpath
 from .states import AnyonState, basis_state, max_amplitude_diff
 from .transmute import TransmutationMap, transmute_operator
@@ -178,7 +178,7 @@ def check_fswap_identities(seed: int = 11, atol: float = 1e-10) -> CheckResult:
         m = int(rng.integers(3, 6))
         theta = float(rng.uniform(-np.pi, np.pi))
         i, j = rng.choice(np.arange(1, m + 1), size=2, replace=False)
-        kind = ["PS", "BS", "PA"][int(rng.integers(0, 3))]
+        kind = ANGLED_KINDS[int(rng.integers(0, len(ANGLED_KINDS)))]
         gate = ps(int(i), theta) if kind == "PS" else (bs(int(i), int(j), theta) if kind == "BS" else pa(int(i), int(j), theta))
         seq = Circuit(m, 0.0, tuple(decompose_distant(gate)))
         for occ in range(1 << m):

@@ -37,9 +37,9 @@ from .entanglement import (
 )
 from .errors import FamilyMismatchError, InvariantBreachError, PreconditionError
 from .fastpath import check_family, run_circuit_fastpath
-from .optics import Circuit, GateElement, check_fits, circuit_from_json_dict, run_circuit, scan_scope
+from .optics import ANGLED_KINDS, Circuit, GateElement, check_fits, circuit_from_json_dict, run_circuit, scan_scope
 from .presets import PRESETS
-from .states import PRUNE_EPS, AnyonState, check_tol, max_amplitude_diff, occ_to_string, prune, state_from_json_dict, wrap_phi
+from .states import PRUNE_EPS, AnyonState, check_tol, json_of, max_amplitude_diff, occ_to_string, prune, state_from_json_dict, wrap_phi
 from .transmute import transmute_state
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
     state = _load_state(args)
     data = _load_json(args.circuit) if args.circuit is not None else {"m": state.m, "gates": []}
     # the circuit runs in the state's sector, so its own phi field is never read
-    circuit = circuit_from_json_dict({**data, "phi": state.phi})
+    circuit = circuit_from_json_dict({**json_of("circuit", data, dict), "phi": state.phi})
     check_fits(state, circuit)
 
     engine = args.engine
@@ -141,14 +141,14 @@ def cmd_run(args) -> int:
 def _scan_template(circuit_data: dict, theta: float, phi: float) -> tuple[Circuit, list[int]]:
     """The circuit in sector ``phi`` with ``theta`` at every null angle, parsed and validated, and the positions of those gates.
 
-    Only PS, BS and PA gates take the scan angle; :func:`_rebind_theta`
-    moves the template to another grid point.
+    Only :data:`~anyonsim.optics.ANGLED_KINDS` take the scan angle;
+    :func:`_rebind_theta` moves the template to another grid point.
     """
     gates = []
     slots = []
-    for entry in circuit_data["gates"]:
-        entry = dict(entry)
-        if entry["kind"] in ("PS", "BS", "PA") and entry.get("theta") is None:
+    for entry in json_of("gates", json_of("circuit", circuit_data, dict)["gates"], list):
+        entry = dict(json_of("gate", entry, dict))
+        if entry["kind"] in ANGLED_KINDS and entry.get("theta") is None:
             entry["theta"] = theta
             slots.append(len(gates))
         gates.append(entry)
@@ -269,14 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anyonsim", description="fermionic-anyon circuit and entanglement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_args(p, with_phi=False):
+    def add_state_args(p):
         p.add_argument("--state", help="path to a state JSON file")
         p.add_argument("--preset", help=f"named preset state ({', '.join(sorted(PRESETS))})")
-        if with_phi:
-            p.add_argument("--phi", type=float, default=None, help="statistics parameter for preset states")
 
     p_run = sub.add_parser("run", help="evolve a state through a circuit; emit amplitude CSV")
-    add_state_args(p_run, with_phi=True)
+    add_state_args(p_run)
+    p_run.add_argument("--phi", type=float, default=None, help="statistics parameter for preset states")
     p_run.add_argument("--circuit", help="path to a circuit JSON file")
     p_run.add_argument("--engine", choices=("dense", "fastpath", "both"), default="dense")
     p_run.add_argument("--out", help="output path (default stdout)")
@@ -293,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_entropy_scan)
 
     p_schmidt = sub.add_parser("schmidt", help="pair normal form of a two-particle state as JSON")
-    add_state_args(p_schmidt, with_phi=True)
+    add_state_args(p_schmidt)
     p_schmidt.add_argument("--out", help="output path (default stdout)")
     p_schmidt.set_defaults(func=cmd_schmidt)
 

@@ -74,10 +74,6 @@ class DensityMatrix:
             raise InvariantBreachError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "spectrum", lam)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy of (p, 1-p) in bits, with 0 log 0 = 0."""
@@ -199,9 +195,9 @@ def particle_trace_rdm(state: AnyonState, keep: str | int = "y") -> DensityMatri
         slot = 1 if keep == "x" else 2
     else:
         check_index(keep, "kept slot")
+        if keep > n:
+            raise PreconditionError(f"kept slot {keep} out of range 1..{n}")
         slot = keep
-    if not 1 <= slot <= n:
-        raise PreconditionError(f"kept slot {slot} out of range 1..{n}")
     weights = _trace_weights(state.phi, n, slot)
     buckets: dict[int, list[tuple[int, complex]]] = {}
     for occ, amp in prune(state.amplitudes).items():
@@ -282,10 +278,6 @@ class TwoParticleCoefficients:
         total = float(np.sum(np.abs(mat) ** 2)) / 2.0
         if not abs(total - 1.0) <= 1e-10:
             raise InvariantBreachError("pair coefficients must carry unit norm")
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .states import AnyonState, prune, reorder_phase
+from .states import AnyonState, check_index, check_mode, prune, reorder_phase
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -59,8 +59,7 @@ class LadderTerm:
         for mode, kind in self.factors:
             if kind not in (CREATE, ANNIHILATE):
                 raise PreconditionError(f"unknown ladder kind {kind!r}")
-            if mode < 1:
-                raise PreconditionError(f"mode index {mode} must be >= 1")
+            check_index(mode)
 
 
 def term_product(t1: LadderTerm, t2: LadderTerm) -> LadderTerm:
@@ -97,13 +96,13 @@ class OperatorExpr:
     terms: tuple[LadderTerm, ...] = ()
 
     def __post_init__(self) -> None:
+        check_index(self.m, "mode count")
         for t in self.terms:
-            for mode, _ in t.factors:
+            for mode, _ in t.factors:  # LadderTerm checked each is an index
                 if mode > self.m:
                     raise PreconditionError(f"mode index {mode} out of range 1..{self.m}")
             for mode in t.weights:
-                if not 1 <= mode <= self.m:
-                    raise PreconditionError(f"weight mode index {mode} out of range 1..{self.m}")
+                check_mode(self.m, mode)
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         if self.m != other.m:

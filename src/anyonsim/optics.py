@@ -81,10 +81,13 @@ from .operators import (
     operator_matrix,
     pair_source,
 )
-from .states import AnyonState, check_index, check_mode, check_norm_kept, json_float, json_int, prune, same_sector
+from .states import AnyonState, check_index, check_mode, check_norm_kept, json_float, json_int, json_of, prune, same_sector
 from .transmute import anyonize, fermionize
 
-GATE_KINDS = ("PS", "BS", "PA", "FSWAP")
+#: per gate kind: (takes a second mode, takes an angle)
+GATE_KINDS = {"PS": (False, True), "BS": (True, True), "PA": (True, True), "FSWAP": (True, False)}
+#: the kinds that take an angle, in :data:`GATE_KINDS` order
+ANGLED_KINDS = tuple(kind for kind, (_, angle) in GATE_KINDS.items() if angle)
 
 #: gate exponentials check Hermiticity of the generator to this
 _HERM_ATOL = 1e-12
@@ -143,25 +146,15 @@ class GateElement:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in GATE_KINDS):
             raise PreconditionError(f"unknown gate kind {self.kind!r}")
         for k in self.modes():
             check_index(k)
-        if self.i < 1 or (self.j is not None and self.j < 1):
-            raise PreconditionError(f"gate {self} has a mode index below 1")
-        if self.kind == "PS":
-            if self.j is not None or self.theta is None:
-                raise PreconditionError("PS takes one mode and an angle")
-        elif self.kind == "FSWAP":
-            if self.j is None or self.theta is not None:
-                raise PreconditionError("FSWAP takes two modes and no angle")
-            if self.j == self.i:
-                raise PreconditionError("FSWAP needs two distinct modes")
-        else:
-            if self.j is None or self.theta is None:
-                raise PreconditionError(f"{self.kind} takes two modes and an angle")
-            if self.j == self.i:
-                raise PreconditionError(f"{self.kind} needs two distinct modes")
+        two_modes, angle = GATE_KINDS[self.kind]
+        if (self.j is not None) != two_modes or (self.theta is not None) != angle:
+            raise PreconditionError(f"{self.kind} takes {'two modes' if two_modes else 'one mode'} and {'an' if angle else 'no'} angle")
+        if self.j == self.i:
+            raise PreconditionError(f"{self.kind} needs two distinct modes")
         if self.theta is not None and not math.isfinite(self.theta):
             raise PreconditionError(f"{self.kind} angle must be finite, got {self.theta}")
 
@@ -200,6 +193,7 @@ class Circuit:
     gates: tuple[GateElement, ...] = ()
 
     def __post_init__(self) -> None:
+        check_index(self.m, "mode count")
         for g in self.gates:
             for k in g.modes():
                 check_mode(self.m, k)
@@ -221,14 +215,14 @@ def generator_expr(gate: GateElement, m: int) -> OperatorExpr:
     Each term is built once with coefficient ``theta * (1.0 + 0.0j)``, the
     product ``theta * expr`` would form (with its signed zeros).
     """
+    if gate.theta is None:  # FSWAP, the mapped swap (see the module docstring)
+        raise PreconditionError(f"{gate.kind} has no single generator form here")
     c = gate.theta * (1.0 + 0.0j)
     if gate.kind == "PS":
         return number(m, gate.i, c)
     if gate.kind == "BS":
         return hopping(m, gate.i, gate.j, c)
-    if gate.kind == "PA":
-        return pair_source(m, gate.i, gate.j, c)
-    raise PreconditionError(f"{gate.kind} has no single generator form here")
+    return pair_source(m, gate.i, gate.j, c)
 
 
 def _occ_count(occ: int) -> int:
@@ -286,10 +280,6 @@ def _orbit_plan(shapes: list, kets) -> tuple[list[int], list[np.ndarray]]:
     return basis, [np.array(first)[:, None] + np.arange(size) for size, first in starts.items()]
 
 
-def _over_budget(d: int) -> PreconditionError:
-    return PreconditionError(f"gate orbit basis has d = {d} kets, over the dense budget of {ORBIT_BASIS_MAX} kets per gate")
-
-
 def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     """exp(i * expr) on the orbits of the state's kets under ``expr``.
 
@@ -321,7 +311,9 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
             plan = scope.plans[key] = _orbit_plan(shapes, state.amplitudes)
         basis, stacks = plan
     if len(basis) > ORBIT_BASIS_MAX:
-        raise _over_budget(len(basis))
+        raise PreconditionError(
+            f"gate orbit basis has d = {len(basis)} kets, over the dense budget of {ORBIT_BASIS_MAX} kets per gate"
+        )
     if moves:
         h = operator_matrix(expr, state.phi, basis)
         if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
@@ -500,8 +492,11 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_json_dict(data: dict) -> Circuit:
+    """Parse the wire format ``{"m", "phi", "gates": [{"kind", "i", "j", "theta"}]}``; a JSON value of the wrong type raises ValueError."""
+    data = json_of("circuit", data, dict)
     gates = []
-    for entry in data["gates"]:
+    for entry in json_of("gates", data["gates"], list):
+        json_of("gate", entry, dict)
         gates.append(
             GateElement(
                 entry["kind"],

@@ -69,16 +69,6 @@ def occ_to_string(occ: int, m: int) -> str:
     return format(occ & ((1 << m) - 1), f"0{m}b")[::-1]
 
 
-def occ_from_bits(bits: Iterable[int]) -> int:
-    """Build a bitmask from a sequence of per-mode occupations (mode 1 first)."""
-    occ = 0
-    for pos, b in enumerate(bits):
-        if b not in (0, 1):
-            raise PreconditionError(f"occupations must be 0 or 1, got {b!r}")
-        occ |= b << pos
-    return occ
-
-
 def n_left(occ: int, i: int) -> int:
     """Number of occupied modes strictly below mode i."""
     return (occ & ((1 << (i - 1)) - 1)).bit_count()
@@ -101,16 +91,27 @@ def same_sector(phi_a: float, phi_b: float) -> bool:
 
 
 def check_index(i: int, what: str = "mode index") -> None:
-    """Raise PreconditionError unless index i is an integer and no bool; a type with ``__index__``, such as ``np.int64``, passes."""
+    """Raise PreconditionError unless i, a mode index, slot or mode count (``what`` names it), is an integer >= 1.
+
+    A bool is refused; a type with ``__index__``, such as ``np.int64``, passes.
+    """
     if type(i) is not int and (isinstance(i, bool) or not hasattr(type(i), "__index__")):
         raise PreconditionError(f"{what} must be an integer, got {i!r}")
+    if i < 1:
+        raise PreconditionError(f"{what} {i} must be >= 1")
 
 
 def check_mode(m: int, i: int) -> None:
-    """Raise PreconditionError unless mode index i is an integer (:func:`check_index`) in 1..m."""
+    """Raise PreconditionError unless mode index i is an index (:func:`check_index`) of at most m."""
     check_index(i)
-    if not 1 <= i <= m:
+    if i > m:
         raise PreconditionError(f"mode index {i} out of range 1..{m}")
+
+
+def check_sector(phi: float) -> None:
+    """Raise PreconditionError unless the statistics parameter phi lies in [0, 2*pi) (NaN fails)."""
+    if not 0.0 <= phi < TWO_PI:
+        raise PreconditionError(f"statistical parameter must lie in [0, 2*pi), got {phi}")
 
 
 def check_occs(m: int, occs: Iterable[int]) -> None:
@@ -153,6 +154,13 @@ def json_float(name: str, value) -> float:
     return float(value)
 
 
+def json_of(name: str, value, kind: type):
+    """An object (``kind`` dict) or array (``kind`` list) part of a JSON input; a value of any other type is refused."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a JSON {'object' if kind is dict else 'array'}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class AnyonState:
     """A pure state of fermionic anyons as a sparse amplitude table.
@@ -167,10 +175,8 @@ class AnyonState:
     amplitudes: Mapping[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise PreconditionError(f"mode count must be >= 1, got {self.m}")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise PreconditionError(f"statistical parameter must lie in [0, 2*pi), got {self.phi}")
+        check_index(self.m, "mode count")
+        check_sector(self.phi)
         check_occs(self.m, self.amplitudes)
 
     def amplitude(self, occ: int | str) -> complex:
@@ -208,16 +214,15 @@ def check_norm_kept(before: AnyonState, after: AnyonState) -> None:
 
 def vacuum(m: int, phi: float = 0.0) -> AnyonState:
     """The m-mode vacuum in the phi statistics sector."""
-    if m < 1:
-        raise PreconditionError(f"mode count must be >= 1, got {m}")
     return AnyonState(m, phi, {0: 1.0 + 0.0j})
 
 
-def basis_state(occ: int | str | Iterable[int], phi: float = 0.0, m: int | None = None) -> AnyonState:
+def basis_state(occ: int | str, phi: float = 0.0, m: int | None = None) -> AnyonState:
     """The Fock basis ket for an occupation pattern.
 
-    ``occ`` may be a string like ``"1010"``, a sequence of 0/1, or a raw
-    bitmask (in which case ``m`` is required).
+    ``occ`` is a string like ``"1010"`` (mode 1 first; its length is the
+    mode count, and ``m``, if given, must equal it) or a raw bitmask, which
+    requires ``m``.  Anything else raises PreconditionError.
     """
     if isinstance(occ, str):
         mask, width = occ_from_string(occ), len(occ)
@@ -226,8 +231,7 @@ def basis_state(occ: int | str | Iterable[int], phi: float = 0.0, m: int | None 
             raise PreconditionError("mode count m is required when occ is a bitmask")
         mask, width = occ, m
     else:
-        bits = tuple(occ)
-        mask, width = occ_from_bits(bits), len(bits)
+        raise PreconditionError(f"occupation must be a string of 0s and 1s or a bitmask, got {occ!r}")
     if m is not None and m != width:
         raise PreconditionError(f"occupation width {width} does not match m={m}")
     return AnyonState(width, phi, {mask: 1.0 + 0.0j})
@@ -330,11 +334,17 @@ def state_to_json_dict(state: AnyonState) -> dict:
 
 
 def state_from_json_dict(data: dict) -> AnyonState:
-    """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as ``--phi`` is, and a repeated occupation raises ValueError."""
+    """Parse the wire format; ``phi`` is wrapped into [0, 2*pi) as ``--phi`` is.
+
+    A repeated occupation, or a top level, ``amplitudes`` or entry of the
+    wrong JSON type (:func:`json_of`), raises ValueError.
+    """
+    data = json_of("state", data, dict)
     m = json_int("m", data["m"])
     phi = wrap_phi(json_float("phi", data["phi"]))
     table: dict[int, complex] = {}
-    for entry in data["amplitudes"]:
+    for entry in json_of("amplitudes", data["amplitudes"], list):
+        json_of("amplitude entry", entry, dict)
         if not isinstance(entry["occ"], str):
             raise ValueError(f"occ must be a string of 0s and 1s, got {entry['occ']!r}")
         occ = occ_from_string(entry["occ"])

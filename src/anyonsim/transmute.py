@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
 from .operators import LadderTerm, OperatorExpr, ANNIHILATE, CREATE, term_product
-from .states import AnyonState, TWO_PI
+from .states import AnyonState, check_sector
 
 # Dressing sign: image of a_i under (phi1 -> phi2) carries
 # exp(i * _TRANSMUTE_SIGN * (phi2 - phi1) * sum_{k<i} n_k).
@@ -34,9 +33,8 @@ class TransmutationMap:
     phi_target: float
 
     def __post_init__(self) -> None:
-        for phi in (self.phi_source, self.phi_target):
-            if not 0.0 <= phi < TWO_PI:
-                raise PreconditionError(f"statistical parameter must lie in [0, 2*pi), got {phi}")
+        check_sector(self.phi_source)
+        check_sector(self.phi_target)
 
     @property
     def delta(self) -> float:

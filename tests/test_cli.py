@@ -417,7 +417,7 @@ def test_state_and_preset_together_or_neither_exit_2(tmp_path, capsys, command, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "schmidt"])
+@pytest.mark.parametrize("command", ["run"])
 def test_phi_with_a_state_file_exits_2(tmp_path, capsys, command):
     state = write_json(tmp_path / "s.json", state_to_json_dict(split_pair()))
     out = tmp_path / "out.txt"

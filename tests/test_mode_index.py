@@ -1,9 +1,25 @@
-"""A mode index, or a kept particle slot, is an integer: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
+"""A mode index, a kept particle slot or a mode count is an integer of at least 1: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
 
 import numpy as np
 import pytest
 
-from anyonsim import AnyonState, PreconditionError, apply_annihilate, apply_create, apply_number, particle_trace_rdm
+from anyonsim import (
+    CREATE,
+    AnyonState,
+    LadderTerm,
+    OperatorExpr,
+    PreconditionError,
+    annihilation,
+    apply_annihilate,
+    apply_create,
+    apply_number,
+    creation,
+    hopping,
+    number,
+    pair_source,
+    particle_trace_rdm,
+    vacuum,
+)
 from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, run_circuit
 
 PSI = AnyonState(4, 1.1, {0b0011: 0.6 + 0.0j, 0b0101: 0.0 + 0.8j})
@@ -60,3 +76,85 @@ def test_particle_trace_refuses_a_non_integer_slot(keep):
 
 def test_particle_trace_keeps_an_integer_type_slot():
     assert np.array_equal(particle_trace_rdm(PSI, np.int64(1)).matrix, particle_trace_rdm(PSI, "x").matrix)
+
+
+@pytest.mark.parametrize("i", BAD, ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda i: creation(4, i),
+        lambda i: annihilation(4, i),
+        lambda i: number(4, i),
+        lambda i: hopping(4, 1, i),
+        lambda i: hopping(4, i, 2),
+        lambda i: pair_source(4, 3, i),
+        lambda i: pair_source(4, i, 3),
+    ],
+    ids=["creation", "annihilation", "number", "hopping-j", "hopping-i", "pair_source-j", "pair_source-i"],
+)
+def test_operator_builders_refuse_a_non_integer_mode(build, i):
+    with pytest.raises(PreconditionError, match="^mode index must be an integer"):
+        build(i)
+
+
+@pytest.mark.parametrize("i", BAD, ids=repr)
+def test_a_ladder_factor_refuses_a_non_integer_mode(i):
+    with pytest.raises(PreconditionError, match="^mode index must be an integer"):
+        LadderTerm(1.0 + 0.0j, ((2, CREATE), (i, CREATE)))
+
+
+@pytest.mark.parametrize("i", BAD, ids=repr)
+def test_a_weight_refuses_a_non_integer_mode(i):
+    with pytest.raises(PreconditionError, match="^mode index must be an integer"):
+        OperatorExpr(4, (LadderTerm(1.0 + 0.0j, ((2, CREATE),), {i: 0.5}),))
+
+
+@pytest.mark.parametrize("i, message", [(0, "mode index 0 must be >= 1"), (-2, "mode index -2 must be >= 1"), (5, "mode index 5 out of range 1..4")])
+def test_a_weight_outside_the_modes_is_refused_as_a_mode_index(i, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        OperatorExpr(4, (LadderTerm(1.0 + 0.0j, (), {i: 0.5}),))
+
+
+@pytest.mark.parametrize("i", [0, -1])
+def test_a_mode_below_1_is_refused_with_its_value(i):
+    with pytest.raises(PreconditionError, match=f"^mode index {i} must be >= 1$"):
+        GateElement("BS", 2, i, 0.3)
+    with pytest.raises(PreconditionError, match=f"^mode index {i} must be >= 1$"):
+        GateElement("PS", i, None, 0.3)
+    with pytest.raises(PreconditionError, match=f"^mode index {i} must be >= 1$"):
+        creation(4, i)
+
+
+MODE_COUNT_OWNERS = [
+    lambda m: AnyonState(m, 0.0, {1: 1.0}),
+    lambda m: vacuum(m),
+    lambda m: Circuit(m, 0.0),
+    lambda m: OperatorExpr(m),
+]
+OWNER_IDS = ["AnyonState", "vacuum", "Circuit", "OperatorExpr"]
+
+
+@pytest.mark.parametrize("m", [True, 4.0, np.float64(4.0), "4", None], ids=repr)
+@pytest.mark.parametrize("build", MODE_COUNT_OWNERS, ids=OWNER_IDS)
+def test_a_mode_count_is_an_integer(build, m):
+    with pytest.raises(PreconditionError, match="^mode count must be an integer"):
+        build(m)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+@pytest.mark.parametrize("build", MODE_COUNT_OWNERS, ids=OWNER_IDS)
+def test_a_mode_count_is_at_least_1(build, m):
+    with pytest.raises(PreconditionError, match=f"^mode count {m} must be >= 1$"):
+        build(m)
+
+
+@pytest.mark.parametrize("build", MODE_COUNT_OWNERS, ids=OWNER_IDS)
+def test_an_integer_type_mode_count_passes(build):
+    assert build(np.int64(3)) == build(3)
+
+
+def test_a_kept_slot_below_1_is_refused_with_its_value():
+    with pytest.raises(PreconditionError, match="^kept slot 0 must be >= 1$"):
+        particle_trace_rdm(PSI, 0)
+    with pytest.raises(PreconditionError, match=r"^kept slot 3 out of range 1\.\.2$"):
+        particle_trace_rdm(PSI, 3)

@@ -1,4 +1,4 @@
-"""A JSON value that is not a number, in a numeric field of a state or circuit file, is malformed input (exit 2)."""
+"""A JSON value that is not a number, in a numeric field of a state or circuit file, or a JSON value of the wrong type in its structure, is malformed input (exit 2)."""
 
 import json
 
@@ -107,6 +107,35 @@ def test_null_j_and_null_theta_keep_their_meanings(tmp_path, capsys):
     # run has no sweep angle: a BS without one is a precondition failure, as before
     assert main(["run", "--preset", "split-pair", "--circuit", circ]) == 4
     assert "BS takes two modes and an angle" in capsys.readouterr().err
+
+
+WRONG_SHAPES = [
+    # (command, file option, file content, the refusal)
+    ("run", "--circuit", [1, 2], "circuit must be a JSON object, got list"),
+    ("entropy-scan", "--circuit", [1, 2], "circuit must be a JSON object, got list"),
+    ("run", "--state", [1, 2], "state must be a JSON object, got list"),
+    ("schmidt", "--state", [1, 2], "state must be a JSON object, got list"),
+    ("run", "--circuit", {"m": 4, "gates": {"kind": "BS"}}, "gates must be a JSON array, got dict"),
+    ("entropy-scan", "--circuit", {"m": 4, "gates": {"kind": "BS"}}, "gates must be a JSON array, got dict"),
+    ("run", "--circuit", {"m": 4, "gates": [1]}, "gate must be a JSON object, got int"),
+    ("entropy-scan", "--circuit", {"m": 4, "gates": [1]}, "gate must be a JSON object, got int"),
+    ("run", "--state", {"m": 4, "phi": 0.0, "amplitudes": [1]}, "amplitude entry must be a JSON object, got int"),
+    ("run", "--state", {"m": 4, "phi": 0.0, "amplitudes": {"occ": "1100"}}, "amplitudes must be a JSON array, got dict"),
+    ("schmidt", "--state", {"m": 4, "phi": 0.0, "amplitudes": [1]}, "amplitude entry must be a JSON object, got int"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, content, message", WRONG_SHAPES, ids=[f"{case[0]}:{case[3].split(' must')[0]}" for case in WRONG_SHAPES]
+)
+def test_json_of_the_wrong_shape_exits_2(tmp_path, capsys, command, option, content, message):
+    # a top level, a gates or amplitudes field, or an entry of the wrong JSON type is malformed input, not a program fault
+    path = write_json(tmp_path / "in.json", content)
+    source = ["--preset", "split-pair"] if option == "--circuit" else []
+    out = tmp_path / "out.txt"
+    assert main([command, *source, option, path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [None, [1], True, "1"], ids=repr)
