@@ -116,7 +116,7 @@ def cmd_run(args) -> int:
     engine = args.engine
     if engine == "both":
         try:
-            check_family(circuit, allow_pa=True)
+            check_family(circuit)
         except FamilyMismatchError as exc:
             print(f"warning: {exc}; downgrading engine 'both' to 'dense'", file=sys.stderr)
             engine = "dense"

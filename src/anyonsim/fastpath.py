@@ -101,8 +101,8 @@ def _gate_entries(gate: GateElement) -> tuple[tuple[int, int, complex], ...]:
     return ((a, a, 0.0), (b, b, 0.0), (a, b, 1.0), (b, a, 1.0))
 
 
-def check_family(circuit: Circuit, allow_pa: bool = False) -> None:
-    """Raise FamilyMismatchError naming the first out-of-family gate."""
+def check_family(circuit: Circuit) -> None:
+    """Raise FamilyMismatchError naming the first out-of-family gate: a distant BS, or a PA other than PA(1,2)."""
     for gate in circuit.gates:
         if gate.kind in ("PS", "FSWAP"):
             continue
@@ -110,26 +110,29 @@ def check_family(circuit: Circuit, allow_pa: bool = False) -> None:
             if abs(gate.i - gate.j) != 1:
                 raise FamilyMismatchError(f"{gate.label()}: distant beam splitters are out of family")
             continue
-        # only the ordered pair (1, 2) keeps the same form in every sector;
-        # the reversed ordering picks up a sector-dependent pair phase
-        if gate.kind == "PA" and allow_pa and (gate.i, gate.j) == (1, 2):
-            continue
-        raise FamilyMismatchError(f"{gate.label()}: pairing gates other than PA(1,2) are out of family")
+        # a PA: only the ordered pair (1, 2) keeps the same form in every
+        # sector; the reversed ordering picks up a sector-dependent pair phase
+        if (gate.i, gate.j) != (1, 2):
+            raise FamilyMismatchError(f"{gate.label()}: pairing gates other than PA(1,2) are out of family")
 
 
 def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     """Fold a number-conserving circuit into one transfer matrix.
 
+    A circuit :func:`check_family` refuses, or one holding a PA gate, which
+    has no single-particle transfer matrix, raises FamilyMismatchError.
     Gates compose left to right: the first listed gate multiplies first.
     One identity buffer serves the whole segment: each gate writes its
     entries into it, multiplies the running total by all of it, and puts
     the identity back.  Real and imaginary parts below the smallest normal
     float are set to 0.
     """
-    check_family(circuit, allow_pa=False)
+    check_family(circuit)
     t = np.eye(circuit.m, dtype=complex)
     total = t.copy()
     for gate in circuit.gates:
+        if gate.kind == "PA":
+            raise FamilyMismatchError(f"{gate.label()}: a pairing gate has no single-particle transfer matrix")
         entries = _gate_entries(gate)
         for r, c, value in entries:
             t[r, c] = value
@@ -329,7 +332,7 @@ def run_circuit_fastpath(state: AnyonState, circuit: Circuit) -> AnyonState:
     :func:`~anyonsim.states.check_norm_kept`.
     """
     check_fits(state, circuit)
-    check_family(circuit, allow_pa=True)
+    check_family(circuit)
     evolved = AnyonState(state.m, state.phi, _evolve_table(dict(state.amplitudes), circuit))
     check_norm_kept(state, evolved)
     return evolved
@@ -337,7 +340,7 @@ def run_circuit_fastpath(state: AnyonState, circuit: Circuit) -> AnyonState:
 
 def anyonic_amplitude_via_fastpath(circuit: Circuit, x: int, y: int) -> complex:
     """Amplitude <y|circuit|x> for an in-family circuit, valid in every sector."""
-    check_family(circuit, allow_pa=True)
+    check_family(circuit)
     if not any(g.kind == "PA" for g in circuit.gates):
         return amplitude_number_conserving(compile_single_particle(circuit), x, y)
     check_occs(circuit.m, (x, y))

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .states import AnyonState, check_index, check_mode, prune, reorder_phase
+from .states import AnyonState, check_index, check_mode, check_mode_count, prune, reorder_phase
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -96,7 +96,7 @@ class OperatorExpr:
     terms: tuple[LadderTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        check_index(self.m, "mode count")
+        check_mode_count(self.m)
         for t in self.terms:
             for mode, _ in t.factors:  # LadderTerm checked each is an index
                 if mode > self.m:

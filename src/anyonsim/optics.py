@@ -15,8 +15,10 @@ moves no ket, such as every phase shifter's ``theta * n_i``, is diagonal
 in every sector (``n_i`` commutes with the anyonic string), so each ket is
 its own orbit: its 1 x 1 blocks are read per ket, with no generator matrix
 or orbit walk.  Every gate, diagonal or not, then ends in the same tail:
-one router sends its stacked blocks to ``expm`` and one ``einsum``
-applies them.  The whole-sector exponential
+each stack of blocks is checked Hermitian, one router sends the stacks to
+``expm`` and one ``einsum`` applies them.  The blocks are the whole
+generator on the orbits: a term sends a ket only into its own orbit, so
+every entry between two orbits is exactly 0.  The whole-sector exponential
 (:func:`_apply_sector_exponential`) and closed-form actions are used only
 as test oracles.
 
@@ -38,11 +40,12 @@ not kept.  A *block exponential* is keyed on the exact bytes of an
 ``(s, s)`` block: ``expm`` exponentiates each slice of a stack on its own,
 so a block met again gets the bits it got the first time.  The one router,
 :func:`_exponentials`, serves every gate in and out of a scope.  Every gate
-that moves kets still builds its generator matrix; every gate checks its
-generator Hermitian and prunes its output, and every circuit still checks
-its norm.  The scope lives in a :class:`contextvars.ContextVar`; it is
-reset when the ``with`` block ends or raises, so nothing is kept across
-commands.  Outside a scope a gate only pays the ``ContextVar.get()``.
+that moves kets still builds its generator matrix; every gate checks the
+blocks it exponentiates Hermitian and prunes its output, and every circuit
+still checks its norm.  The scope lives in a
+:class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
+or raises, so nothing is kept across commands.  Outside a scope a gate
+only pays the ``ContextVar.get()``.
 
 A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets raises
 PreconditionError before it builds anything on that basis.
@@ -81,7 +84,7 @@ from .operators import (
     operator_matrix,
     pair_source,
 )
-from .states import AnyonState, check_index, check_mode, check_norm_kept, json_float, json_int, json_of, prune, same_sector
+from .states import AnyonState, check_index, check_mode, check_mode_count, check_norm_kept, json_float, json_int, json_of, prune, same_sector
 from .transmute import anyonize, fermionize
 
 #: per gate kind: (takes a second mode, takes an angle)
@@ -193,7 +196,7 @@ class Circuit:
     gates: tuple[GateElement, ...] = ()
 
     def __post_init__(self) -> None:
-        check_index(self.m, "mode count")
+        check_mode_count(self.m)
         for g in self.gates:
             for k in g.modes():
                 check_mode(self.m, k)
@@ -288,12 +291,13 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     whose terms moves a ket (every phase shifter) has the trivial plan: the
     basis is the table's kets and one ``(k, 1)`` stack, with no walk, and
     its 1 x 1 blocks come from :func:`_diagonal_elements`, with no
-    generator matrix.  Any other generator's matrix is built on the basis,
-    checked Hermitian as a whole (which also bounds every entry outside the
-    blocks by ``_HERM_ATOL``), and its diagonal blocks are cut out per
-    stack.  Every stack then goes through :func:`_exponentials` and one
-    ``einsum`` tail.  Inside :func:`scan_scope` a moving generator's plan
-    comes from the scope when it holds it.
+    generator matrix.  Any other generator's matrix is built on the basis
+    and its diagonal blocks are cut out per stack; every entry outside them
+    is exactly 0, because the orbits are closed.  Each stack is checked
+    Hermitian (``|h_rc - conj(h_cr)| <= _HERM_ATOL``) before any goes to
+    ``expm``, then goes through :func:`_exponentials` and one ``einsum``
+    tail.  Inside :func:`scan_scope` a moving generator's plan comes from
+    the scope when it holds it.
     """
     if not state.amplitudes:
         return state
@@ -316,14 +320,15 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
         )
     if moves:
         h = operator_matrix(expr, state.phi, basis)
-        if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
-            raise InvariantBreachError("gate generator is not Hermitian on its orbits")
-        blocks = [1j * h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
+        blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
     else:
-        blocks = [1j * np.array(_diagonal_elements(state, expr, shapes), dtype=complex)[:, None, None]]
+        blocks = [np.array(_diagonal_elements(state, expr, shapes), dtype=complex)[:, None, None]]
+    for stack in blocks:
+        if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_ATOL:
+            raise InvariantBreachError("gate generator is not Hermitian on its orbits")
     vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
     for idx, stack in zip(stacks, blocks):
-        vec[idx] = np.einsum("kab,kb->ka", _exponentials(stack, scope), vec[idx])
+        vec[idx] = np.einsum("kab,kb->ka", _exponentials(1j * stack, scope), vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
 
 
@@ -332,8 +337,8 @@ def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> l
 
     The element is summed from ``0j`` over the terms in order, through the
     kernel :func:`~anyonsim.operators.operator_matrix` uses, so it has the
-    bits of that matrix's diagonal; each is checked Hermitian
-    (``|h - conj(h)| <= _HERM_ATOL``).
+    bits of that matrix's diagonal.  The caller checks each real, with the
+    blocks of every other gate.
     """
     flat = _flatten(expr, state.phi, shapes)
     diagonal = []
@@ -343,8 +348,6 @@ def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> l
             res = _act(occ, 1.0 + 0.0j, term)
             if res is not None:
                 h += res[1]
-        if abs(h - h.conjugate()) > _HERM_ATOL:
-            raise InvariantBreachError("gate generator is not Hermitian on its orbits")
         diagonal.append(h)
     return diagonal
 
@@ -352,32 +355,26 @@ def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> l
 def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
     """``expm`` of each slice of a C-contiguous ``(k, s, s)`` stack, with the bits of a per-slice call.
 
-    ``expm`` exponentiates every slice on its own, so only byte-distinct
-    slices are sent, in first-occurrence order, and a repeated block gets
-    the bits it got the first time.  Inside a scope only slices the scope
-    has not seen are sent.  Outside a scope a stack of 1 x 1 blocks goes
+    ``expm`` exponentiates every slice on its own, so a block met again
+    gets the bits it got the first time.  One table, keyed on a block's
+    bytes, holds the exponentials: the scope's ``blocks``, or a fresh one
+    per call outside a scope.  Only the blocks the table lacks are sent, in
+    first-occurrence order.  Outside a scope a stack of 1 x 1 blocks goes
     whole: scipy takes ``np.exp`` of it elementwise, so a dedupe would save
     nothing.
     """
     if scope is None and blocks.shape[1] == 1:
         return expm(blocks)
+    table = {} if scope is None else scope.blocks
     raw, step = blocks.tobytes(), blocks[0].nbytes
-    position: dict[bytes, int] = {}  # each distinct block -> its place in first-occurrence order
-    picks: list[int] = []  # the first slice holding each distinct block
-    inverse: list[int] = []
-    for k in range(len(blocks)):
-        key = raw[k * step : (k + 1) * step]
-        pos = position.get(key)
-        if pos is None:
-            pos = position[key] = len(picks)
-            picks.append(k)
-        inverse.append(pos)
-    if scope is None:
-        return expm(blocks[picks])[inverse]
-    fresh = [key for key in position if key not in scope.blocks]
+    keys = [raw[k * step : (k + 1) * step] for k in range(len(blocks))]
+    fresh: dict[bytes, int] = {}  # each block the table lacks -> the first slice holding it
+    for k, key in enumerate(keys):
+        if key not in table and key not in fresh:
+            fresh[key] = k
     if fresh:
-        scope.blocks.update(zip(fresh, expm(blocks[[picks[position[key]] for key in fresh]])))
-    return np.array([scope.blocks[key] for key in position])[inverse]
+        table.update(zip(fresh, expm(blocks[list(fresh.values())])))
+    return np.array([table[key] for key in keys])
 
 
 def apply_gate(state: AnyonState, gate: GateElement) -> AnyonState:

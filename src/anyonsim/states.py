@@ -34,6 +34,8 @@ TWO_PI = 2.0 * 3.141592653589793
 PRUNE_EPS = 1e-14
 #: relative tolerance on the squared norm a unitary evolution may move
 NORM_ATOL = 1e-10
+#: most modes a state, circuit or operator may span; ``1 << m`` and an m x m transfer matrix stay small up to it
+MODE_COUNT_MAX = 1024
 
 # Exchange sign s in the reordering phase (-exp(i*s*phi))**crossings.
 # Fixed by requiring the deformed exchange relations (with epsilon = +1 for
@@ -99,6 +101,13 @@ def check_index(i: int, what: str = "mode index") -> None:
         raise PreconditionError(f"{what} must be an integer, got {i!r}")
     if i < 1:
         raise PreconditionError(f"{what} {i} must be >= 1")
+
+
+def check_mode_count(m: int) -> None:
+    """Raise PreconditionError unless mode count m is an integer >= 1 (:func:`check_index`) of at most :data:`MODE_COUNT_MAX`."""
+    check_index(m, "mode count")
+    if m > MODE_COUNT_MAX:
+        raise PreconditionError(f"mode count {m} is over the bound of {MODE_COUNT_MAX} modes")
 
 
 def check_mode(m: int, i: int) -> None:
@@ -175,7 +184,7 @@ class AnyonState:
     amplitudes: Mapping[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_index(self.m, "mode count")
+        check_mode_count(self.m)
         check_sector(self.phi)
         check_occs(self.m, self.amplitudes)
 

@@ -91,3 +91,28 @@ def test_phase_shifter_on_a_full_14_mode_state_exits_4_under_a_memory_cap(tmp_pa
     assert proc.returncode == 4, proc.stderr
     assert "d = 16384 kets, over the dense budget of 8192" in proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+#: address-space cap for the BS(1, 15) child; one d x d complex copy of its 6435-ket generator is 632 MiB
+BS_CAP_BYTES = 1280 * 2**20
+#: a distant beam splitter on the full (15, 7) sector, under ORBIT_BASIS_MAX
+FULL_15_7 = """
+from itertools import combinations
+from anyonsim import AnyonState, Circuit, bs, run_circuit
+kets = [sum(1 << k for k in picks) for picks in combinations(range(15), 7)]
+out = run_circuit(AnyonState(15, 1.1, dict.fromkeys(kets, len(kets) ** -0.5)), Circuit(15, 1.1, (bs(1, 15, 0.7),)))
+print(len(kets), len(out.amplitudes))
+"""
+
+
+def test_a_distant_beam_splitter_on_a_full_15_mode_sector_runs_under_a_memory_cap():
+    # the gate checks Hermiticity on its 2 x 2 blocks, never on d x d copies of the generator
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (BS_CAP_BYTES, BS_CAP_BYTES))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FULL_15_7], env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6435", "6435"]

@@ -17,7 +17,8 @@ from anyonsim import (
     run_circuit,
     run_circuit_fastpath,
 )
-from anyonsim.fastpath import SingleParticleUnitary
+from anyonsim.errors import InvariantBreachError
+from anyonsim.fastpath import SingleParticleUnitary, check_family
 from conftest import random_state, table_diff
 
 
@@ -185,3 +186,16 @@ def test_run_circuit_fastpath_refuses_a_circuit_that_does_not_fit(circuit, match
     # a mode or sector mismatch has nothing to do with the gate family
     with pytest.raises(PreconditionError, match=match):
         run_circuit_fastpath(basis_state("1100", 0.0), circuit)
+
+
+def test_the_family_admits_pa_1_2_but_it_has_no_transfer_matrix():
+    circuit = Circuit(4, 0.0, (bs(1, 2, 0.4), pa(1, 2, 0.3)))
+    check_family(circuit)  # PA(1,2) is in the fast-path family
+    message = r"^PA\(1,2; theta=0\.3\): a pairing gate has no single-particle transfer matrix$"
+    with pytest.raises(FamilyMismatchError, match=message):
+        compile_single_particle(circuit)
+
+
+def test_a_transfer_matrix_is_square():
+    with pytest.raises(InvariantBreachError, match="^transfer matrix must be square$"):
+        SingleParticleUnitary(np.eye(2, 3, dtype=complex))

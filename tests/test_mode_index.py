@@ -1,5 +1,7 @@
 """A mode index, a kept particle slot or a mode count is an integer of at least 1: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from anyonsim import (
     particle_trace_rdm,
     vacuum,
 )
+from anyonsim.cli import main
 from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, run_circuit
+from anyonsim.states import MODE_COUNT_MAX
 
 PSI = AnyonState(4, 1.1, {0b0011: 0.6 + 0.0j, 0b0101: 0.0 + 0.8j})
 BAD = [1.5, 1.0, np.float64(2.0), True, False, np.True_, "1"]
@@ -158,3 +162,20 @@ def test_a_kept_slot_below_1_is_refused_with_its_value():
         particle_trace_rdm(PSI, 0)
     with pytest.raises(PreconditionError, match=r"^kept slot 3 out of range 1\.\.2$"):
         particle_trace_rdm(PSI, 3)
+
+
+@pytest.mark.parametrize("build", MODE_COUNT_OWNERS, ids=OWNER_IDS)
+def test_a_mode_count_is_at_most_the_bound(build):
+    build(MODE_COUNT_MAX)
+    with pytest.raises(PreconditionError, match=f"^mode count {MODE_COUNT_MAX + 1} is over the bound of {MODE_COUNT_MAX} modes$"):
+        build(MODE_COUNT_MAX + 1)
+
+
+def test_a_state_file_with_a_huge_mode_count_exits_4(tmp_path, capsys):
+    # 1 << 10**30 cannot be built: the bound is checked first
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"m": 1e30, "phi": 0.0, "amplitudes": []}))
+    assert main(["run", "--state", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode count 1000000000000000019884624838656 is over the bound")
+    assert "Traceback" not in err

@@ -107,3 +107,9 @@ def test_operator_matrix_hermitian_and_leakage():
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     with pytest.raises(InvariantBreachError):
         operator_matrix(creation(3, 2), 0.0, basis)
+
+
+def test_an_expression_times_a_scalar_scales_every_term():
+    expr = hopping(3, 1, 2, 0.5)
+    assert expr * 2.0 == expr.scaled(2.0) == 2.0 * expr
+    assert [t.coefficient for t in (expr * 2.0).terms] == [1.0, 1.0]

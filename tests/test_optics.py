@@ -324,3 +324,8 @@ def test_bogoliubov_non_finite_generator_rejected(block):
     target[0, 1] = target[1, 0] = np.nan
     with pytest.raises(PreconditionError, match="finite"):
         BogoliubovPair.from_generator(a, b)
+
+
+def test_a_gate_returns_an_empty_table_unchanged():
+    empty = AnyonState(4, 1.3, {})
+    assert apply_gate(empty, bs(1, 3, 0.4)) is empty

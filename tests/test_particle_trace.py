@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonsim import AnyonState, Circuit, InvariantBreachError, bs, one_body_rdm, particle_trace_rdm, ps, run_circuit
+from anyonsim import AnyonState, Circuit, InvariantBreachError, PreconditionError, bs, one_body_rdm, particle_trace_rdm, ps, run_circuit
 from anyonsim.entanglement import von_neumann_entropy
 from anyonsim.states import PRUNE_EPS, apply_annihilate
 
@@ -163,3 +163,9 @@ def test_particle_trace_of_twelve_particles_needs_no_chains():
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert np.max(np.abs(rho.matrix - np.eye(12) / 12)) <= 1e-15
+
+
+def test_a_table_pruned_to_nothing_has_no_particle_trace():
+    tiny = AnyonState(4, 1.3, {0b0011: PRUNE_EPS, 0b0101: 0.5 * PRUNE_EPS * 1j})
+    with pytest.raises(PreconditionError, match="^particle trace of the zero vector$"):
+        particle_trace_rdm(tiny, 1)

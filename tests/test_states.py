@@ -189,3 +189,7 @@ def test_state_json_refuses_an_occupation_listed_twice():
     entry = {"occ": "1100", "re": 1.0, "im": 0.0}
     with pytest.raises(ValueError, match=r"^occupation '1100' appears twice$"):
         state_from_json_dict({"m": 4, "phi": 0.0, "amplitudes": [entry, dict(entry)]})
+
+
+def test_no_modes_render_as_the_empty_string():
+    assert occ_to_string(0b101, 0) == ""
