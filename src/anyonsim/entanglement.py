@@ -65,7 +65,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantBreachError("density matrix must be square")
         # each test is written so that NaN fails it
-        if not np.max(np.abs(mat - mat.conj().T)) <= _HERM_ATOL:
+        if not np.abs(mat - mat.conj().T).max() <= _HERM_ATOL:
             raise InvariantBreachError("density matrix is not Hermitian")
         if not abs(np.trace(mat).real - 1.0) <= _HERM_ATOL:
             raise InvariantBreachError("density matrix trace must be one")
@@ -95,7 +95,7 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
         lam = rho.spectrum
     else:
         mat = np.asarray(rho, dtype=complex)
-        if not np.max(np.abs(mat - mat.conj().T)) <= _HERM_ATOL:  # NaN fails too
+        if not np.abs(mat - mat.conj().T).max() <= _HERM_ATOL:  # NaN fails too
             raise PreconditionError("entropy requires a Hermitian matrix")
         lam = np.linalg.eigvalsh(mat)
     lam = np.clip(lam, 0.0, None)
@@ -298,7 +298,12 @@ class SlaterDecomposition:
 
 
 def two_particle_coefficients(state: AnyonState) -> TwoParticleCoefficients:
-    """Extract the antisymmetric pair matrix from a two-particle state."""
+    """Extract the antisymmetric pair matrix from a two-particle state.
+
+    A state with |psi|^2 off 1 by more than ``NORM_ATOL`` raises
+    PreconditionError, after the matrix is built, so that a NaN table
+    still fails its antisymmetry invariant first.
+    """
     n = _definite_particle_number(state)
     if n != 2:
         raise PreconditionError(f"pair coefficients require exactly two particles, got {n}")
@@ -309,7 +314,9 @@ def two_particle_coefficients(state: AnyonState) -> TwoParticleCoefficients:
         j = occ.bit_length()  # highest occupied mode
         mat[i - 1, j - 1] = amp
         mat[j - 1, i - 1] = -amp
-    return TwoParticleCoefficients(mat)
+    coeffs = TwoParticleCoefficients(mat)
+    _check_normalized(state)
+    return coeffs
 
 
 def _pair_block_rows(c: np.ndarray) -> tuple[np.ndarray, int]:

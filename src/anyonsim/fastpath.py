@@ -80,7 +80,7 @@ class SingleParticleUnitary:
         u = self.matrix
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise InvariantBreachError("transfer matrix must be square")
-        dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+        dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
         if not dev <= _UNITARY_ATOL:  # NaN fails too
             raise InvariantBreachError(f"transfer matrix is not unitary (deviation {dev:.3e})")
 

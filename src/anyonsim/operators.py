@@ -8,19 +8,19 @@ statistics transmutation purely mechanical: commuting a diagonal rightward
 through a ladder factor only shifts the weight seen at that factor's mode
 by one unit, which contributes a scalar phase.
 
-Every action of a term on a basis ket goes through one kernel.  Each call
-of :func:`apply_operator_expr`, :func:`orbits` or :func:`operator_matrix`
-flattens the terms once into bit masks (:func:`_term_shape`): which kets a
-term acts on, the ket it sends each to, and per factor the modes below it.
+Every action of a term on a basis ket goes through one kernel, :func:`_act`,
+and every term has one form, :func:`_term_shape`: bit masks for which kets
+it acts on, the ket it sends each to and per factor the modes below it,
+with its coefficient and weights.  The orbit walk reads only the masks.
 A factor that crosses ``c`` occupied modes contributes the reordering phase
 ``-exp(-i*phi)`` to the power ``c`` (conjugated for an annihilator), with
-``0 <= c < m``; the phase is read from a table of
+``0 <= c < m``; each caller of :func:`_act` builds a table of
 :func:`~anyonsim.states.reorder_phase` over ``c = 0..m-1`` and its
-conjugates, built per call.  The table holds the very values a call per
-factor would return, and :func:`_act` multiplies them in the same order,
-so every matrix element and amplitude keeps its bits.  Nothing is kept
-across calls, so the table follows ``states._REORDER_SIGN`` as the
-exchange-relation audit sets it.
+conjugates once per call (:func:`_phase_tables`).  The table holds the very
+values a call per factor would return, and :func:`_act` multiplies them in
+the same order, so every matrix element and amplitude keeps its bits.
+Nothing is kept across calls, so the table follows ``states._REORDER_SIGN``
+as the exchange-relation audit sets it.
 """
 
 from __future__ import annotations
@@ -171,22 +171,23 @@ def pair_source(m: int, i: int, j: int, coefficient: complex = 1.0 + 0.0j) -> Op
     )
 
 
-def _term_shape(term: LadderTerm) -> tuple[int, int, int, list[tuple[int, int, bool]]] | None:
-    """Which kets a term acts on, where it sends them and what its factors cross; None if it acts on none.
+def _term_shape(term: LadderTerm) -> tuple | None:
+    """Which kets a term acts on, where it sends them and what it multiplies them by; None if it acts on none.
 
-    Returns ``(mask, need, flip, steps)``.  The term acts on ``occ``
-    exactly when ``occ & mask == need``: ``mask`` holds the modes its
-    factors touch and ``need`` those that must be occupied before it acts
-    (read factor by factor from the right: a creator needs its mode empty,
-    an annihilator needs it occupied).  It sends ``occ`` to ``occ ^ flip``.
-    A term such as ``a_i a_i`` acts on no ket.
+    Returns ``(mask, need, flip, steps, coefficient, weights)``.  The term
+    acts on ``occ`` exactly when ``occ & mask == need``: ``mask`` holds
+    the modes its factors touch and ``need`` those that must be occupied
+    before it acts (read factor by factor from the right: a creator needs
+    its mode empty, an annihilator needs it occupied).  It sends ``occ``
+    to ``occ ^ flip``.  A term such as ``a_i a_i`` acts on no ket.
 
     ``steps`` lists ``(below, offset, creates)`` in the order the factors
     act.  The factor's crossing count, the number of modes below it that
     are occupied when it acts, is ``(occ & below).bit_count() + offset``:
     ``below`` holds the modes below it that the term does not touch, and
     ``offset`` counts the touched modes below it that are occupied at that
-    point, which ``need`` fixes.
+    point, which ``need`` fixes; ``creates`` (1 or 0) picks its phase table.
+    ``weights`` lists ``(bit, w)`` in the term's own order.
     """
     factors = [(1 << (mode - 1), kind == CREATE) for mode, kind in reversed(term.factors)]
     mask = need = 0
@@ -199,43 +200,28 @@ def _term_shape(term: LadderTerm) -> tuple[int, int, int, list[tuple[int, int, b
     for bit, creates in factors:
         if bool(now & bit) == creates:
             return None
-        steps.append(((bit - 1) & ~mask, (now & (bit - 1)).bit_count(), creates))
+        # creates as an int: indexing a tuple with a bool leaves CPython's fast path
+        steps.append(((bit - 1) & ~mask, (now & (bit - 1)).bit_count(), int(creates)))
         now ^= bit
-    return mask, need, need ^ now, steps
+    weights = [(1 << (mode - 1), w) for mode, w in term.weights.items()]
+    return mask, need, need ^ now, steps, term.coefficient, weights
 
 
-def _flatten(expr: OperatorExpr, phi: float, shapes: list | None = None) -> list[tuple]:
-    """The terms of ``expr`` that act on some ket, as ``(coefficient, mask, need, flip, factors, weights)`` for :func:`_act`.
-
-    ``mask``, ``need`` and ``flip`` are those of :func:`_term_shape`;
-    ``shapes`` is the :func:`_term_shape` of each term when the caller
-    already holds them.
-    ``factors`` lists ``(below, offset, table)`` per step, where ``table``
-    is this call's ``[reorder_phase(phi, c) for c in range(m)]`` for a
-    creator and its conjugates for an annihilator (see the module
-    docstring).  ``weights`` lists ``(bit, w)`` in the term's own order.
-    """
-    plain = [reorder_phase(phi, c) for c in range(expr.m)]
-    conj = [p.conjugate() for p in plain]
-    flat = []
-    for k, term in enumerate(expr.terms):
-        shape = _term_shape(term) if shapes is None else shapes[k]
-        if shape is not None:
-            mask, need, flip, steps = shape
-            factors = [(below, offset, plain if creates else conj) for below, offset, creates in steps]
-            weights = [(1 << (mode - 1), w) for mode, w in term.weights.items()]
-            flat.append((term.coefficient, mask, need, flip, factors, weights))
-    return flat
+def _phase_tables(m: int, phi: float) -> tuple[list[complex], list[complex]]:
+    """``(conjugates, phases)`` of ``reorder_phase(phi, c)`` over ``c = 0..m-1``, indexed by a step's ``creates``; built per call."""
+    plain = [reorder_phase(phi, c) for c in range(m)]
+    return [p.conjugate() for p in plain], plain
 
 
-def _act(occ: int, amp: complex, term: tuple) -> tuple[int, complex] | None:
-    """The ket and amplitude a flattened term (:func:`_flatten`) sends ``amp |occ>`` to, or None when it kills ``occ``.
+def _act(occ: int, amp: complex, shape: tuple, tables: tuple) -> tuple[int, complex] | None:
+    """The ket and amplitude a term sends ``amp |occ>`` to, or None when it kills ``occ``.
 
-    The products are formed in the order
+    ``shape`` is the term's :func:`_term_shape` and ``tables`` the
+    caller's :func:`_phase_tables`.  The products are formed in the order
     ``((amp * coefficient) * exp(i * sum w)) * phase_1 * phase_2 ...``,
     with the factors' phases in the order the factors act.
     """
-    coefficient, mask, need, flip, factors, weights = term
+    mask, need, flip, steps, coefficient, weights = shape
     if occ & mask != need:
         return None
     a = amp * coefficient
@@ -246,8 +232,8 @@ def _act(occ: int, amp: complex, term: tuple) -> tuple[int, complex] | None:
                 diag += w
         if diag:
             a *= cmath.exp(1j * diag)
-    for below, offset, table in factors:
-        a *= table[(occ & below).bit_count() + offset]
+    for below, offset, creates in steps:
+        a *= tables[creates][(occ & below).bit_count() + offset]
     return occ ^ flip, a
 
 
@@ -255,10 +241,11 @@ def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     """Linear action of an operator expression on a state."""
     if expr.m != state.m:
         raise PreconditionError(f"operator is over {expr.m} modes, state over {state.m}")
+    tables = _phase_tables(expr.m, state.phi)
     out: dict[int, complex] = {}
-    for term in _flatten(expr, state.phi):
+    for shape in filter(None, map(_term_shape, expr.terms)):
         for occ, amp in state.amplitudes.items():
-            res = _act(occ, amp, term)
+            res = _act(occ, amp, shape, tables)
             if res is not None:
                 out[res[0]] = out.get(res[0], 0.0) + res[1]
     return AnyonState(state.m, state.phi, prune(out))
@@ -304,11 +291,12 @@ def operator_matrix(expr: OperatorExpr, phi: float, basis: Iterable[int]) -> np.
     """
     basis = list(basis)
     index = {occ: k for k, occ in enumerate(basis)}
-    flat = _flatten(expr, phi)
+    shapes = list(filter(None, map(_term_shape, expr.terms)))
+    tables = _phase_tables(expr.m, phi)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, occ in enumerate(basis):
-        for term in flat:
-            res = _act(occ, 1.0 + 0.0j, term)
+        for shape in shapes:
+            res = _act(occ, 1.0 + 0.0j, shape, tables)
             if res is None:
                 continue
             row = index.get(res[0])

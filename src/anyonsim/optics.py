@@ -77,8 +77,8 @@ from .operators import (
     OperatorExpr,
     hopping,
     _act,
-    _flatten,
     _orbits,
+    _phase_tables,
     _term_shape,
     number,
     operator_matrix,
@@ -301,9 +301,9 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     """
     if not state.amplitudes:
         return state
-    shapes = list(map(_term_shape, expr.terms))
+    shapes = list(filter(None, map(_term_shape, expr.terms)))  # the terms that act on some ket
     scope = _SCAN_SCOPE.get()
-    moves = any(shape is not None and shape[2] for shape in shapes)  # some term flips a mode
+    moves = any(shape[2] for shape in shapes)  # some term flips a mode
     if not moves:
         basis, stacks = list(state.amplitudes), [np.arange(len(state.amplitudes))[:, None]]
     elif scope is None:
@@ -335,17 +335,19 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
 def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> list[complex]:
     """Each ket's element of an ``expr`` that moves no ket, in table order.
 
-    The element is summed from ``0j`` over the terms in order, through the
-    kernel :func:`~anyonsim.operators.operator_matrix` uses, so it has the
-    bits of that matrix's diagonal.  The caller checks each real, with the
+    ``shapes`` are the caller's :func:`~anyonsim.operators._term_shape`
+    of the terms that act on some ket.  The element is summed from ``0j``
+    over them in order, through the kernel and a per-call phase table as
+    :func:`~anyonsim.operators.operator_matrix` uses, so it has the bits
+    of that matrix's diagonal.  The caller checks each real, with the
     blocks of every other gate.
     """
-    flat = _flatten(expr, state.phi, shapes)
+    tables = _phase_tables(expr.m, state.phi)
     diagonal = []
     for occ in state.amplitudes:
         h = 0j
-        for term in flat:
-            res = _act(occ, 1.0 + 0.0j, term)
+        for shape in shapes:
+            res = _act(occ, 1.0 + 0.0j, shape, tables)
             if res is not None:
                 h += res[1]
         diagonal.append(h)

@@ -406,6 +406,15 @@ def test_unnormalized_state_that_breaks_no_invariant_is_refused_before_the_scan(
     assert not out.exists()
 
 
+def test_unnormalized_state_schmidt_exits_4_and_writes_nothing(tmp_path, capsys):
+    table = [{"occ": occ, "re": 0.5, "im": 0.0} for occ in ("1100", "0011")]
+    state = write_json(tmp_path / "s.json", {"m": 4, "phi": 0.0, "amplitudes": table})
+    out = tmp_path / "schmidt.json"
+    assert main(["schmidt", "--state", state, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: the state is not normalized, |psi|^2 = 0.5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("both", [True, False])
 @pytest.mark.parametrize("command", ["run", "entropy-scan", "schmidt"])
 def test_state_and_preset_together_or_neither_exit_2(tmp_path, capsys, command, both):

@@ -265,6 +265,14 @@ def test_unnormalized_two_slater_is_refused_by_each_one_body_analysis(call):
         call(state)
 
 
+@pytest.mark.parametrize("call", [two_particle_coefficients, slater_decompose])
+def test_unnormalized_two_slater_is_refused_by_the_pair_form(call):
+    # the pair form used to renormalize silently and report z = (1/sqrt 2, 1/sqrt 2)
+    state = AnyonState(4, 0.0, {0b0011: 0.5 + 0.0j, 0b1100: 0.5 + 0.0j})
+    with pytest.raises(PreconditionError, match=r"^the state is not normalized, \|psi\|\^2 = 0.5$"):
+        call(state)
+
+
 def test_normalization_is_checked_before_the_particle_number():
     with pytest.raises(PreconditionError, match=r"^the state is not normalized, \|psi\|\^2 = 2$"):
         minimal_entropy_modes(AnyonState(4, 0.0, {0b0001: 1.0 + 0.0j, 0b0011: 1.0 + 0.0j}))

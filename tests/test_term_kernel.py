@@ -1,4 +1,4 @@
-"""The flattened term kernel and its per-call phase table give the bits of the per-factor ladder calls.
+"""The term kernel and its per-call phase tables give the bits of the per-factor ladder calls.
 
 The reference below is the per-factor implementation the kernel replaced:
 every factor goes through :func:`~anyonsim.states.create_component` or
@@ -217,3 +217,28 @@ def test_a_diagonal_gate_sends_its_whole_stack_to_expm(monkeypatch):
     h = operator_matrix(expr, state.phi, list(state.amplitudes))
     ref = {occ: complex(expm(1j * h[k : k + 1, k : k + 1][None])[0, 0, 0] * amp) for k, (occ, amp) in enumerate(state.amplitudes.items())}
     assert table_bytes(got) == table_bytes(prune(ref))
+
+
+def test_applying_an_expression_reads_the_reorder_sign_at_call_time(monkeypatch):
+    # the hop between modes 1 and 3 crosses the occupied mode 2
+    expr = hopping(3, 1, 3, 1.0 + 0.0j)
+    state = AnyonState(3, 1.1, {0b011: 0.6 + 0.0j, 0b110: 0.0 + 0.8j})
+    first = apply_operator_expr(state, expr).amplitudes
+    monkeypatch.setattr(states_mod, "_REORDER_SIGN", -states_mod._REORDER_SIGN)
+    second = apply_operator_expr(state, expr).amplitudes
+    assert table_bytes(second) != table_bytes(first)
+    assert table_bytes(second) == table_bytes(ref_apply_operator_expr(state, expr))
+
+
+def test_a_diagonal_gate_reads_the_reorder_sign_at_call_time(monkeypatch):
+    # a+_2 a+_1 a_2 a_1 moves no ket, and its last factor crosses mode 1: at phi = pi the element
+    # is 3 * (1 -+ 1.2e-16 i), real within the Hermiticity bound, with the sign of its imaginary part
+    expr = OperatorExpr(2, (LadderTerm(3.0 + 0.0j, ((2, CREATE), (1, CREATE), (2, ANNIHILATE), (1, ANNIHILATE))),))
+    state = AnyonState(2, math.pi, {0b11: 0.6 + 0.0j, 0b01: 0.0 + 0.8j})
+    first = _apply_orbit_exponential(state, expr).amplitudes
+    monkeypatch.setattr(states_mod, "_REORDER_SIGN", -states_mod._REORDER_SIGN)
+    second = _apply_orbit_exponential(state, expr).amplitudes
+    assert table_bytes(second) != table_bytes(first)
+    h = ref_operator_matrix(expr, state.phi, list(state.amplitudes))
+    ref = {occ: complex(expm(1j * h[k : k + 1, k : k + 1][None])[0, 0, 0] * amp) for k, (occ, amp) in enumerate(state.amplitudes.items())}
+    assert table_bytes(second) == table_bytes(prune(ref))
