@@ -273,7 +273,7 @@ class TwoParticleCoefficients:
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if not np.max(np.abs(mat + mat.T)) <= 1e-12:  # NaN fails too
+        if not np.abs(mat + mat.T).max() <= 1e-12:  # NaN fails too
             raise InvariantBreachError("pair-coefficient matrix must be antisymmetric")
         total = float(np.sum(np.abs(mat) ** 2)) / 2.0
         if not abs(total - 1.0) <= 1e-10:
@@ -397,7 +397,7 @@ def slater_decompose(state: AnyonState, rank_tol: float = _Z_FLOOR) -> SlaterDec
     for k in range(n_pairs):
         check[2 * k, 2 * k + 1] -= z[k]
         check[2 * k + 1, 2 * k] += z[k]
-    if np.max(np.abs(check)) > _Z_FLOOR or (len(z) > 0 and np.min(z) < -1e-12):
+    if np.abs(check).max() > _Z_FLOOR or (len(z) > 0 and np.min(z) < -1e-12):
         raise InvariantBreachError("block-diagonalization of the pair matrix failed")
     order = np.argsort(z)[::-1]
     perm: list[int] = []

@@ -30,24 +30,26 @@ at phi != 0 the mapped action is the defining one.
 
 Sharing within a scan
 ---------------------
-Inside :func:`scan_scope` (``entropy-scan`` opens one around its grid),
-the dense gates share two things.  An *orbit plan* (the concatenated
-orbits and, per orbit size, their positions) of a gate that moves kets is
-keyed on each term's ladder factors in order and the state's kets in table
-order: which ket a term reaches reads neither a phase nor a coefficient,
-so equal keys give equal plans.  A diagonal gate's plan is trivial and is
-not kept.  A *block exponential* is keyed on the exact bytes of an
+A :func:`scan_scope` (``entropy-scan`` opens one around its grid) only
+supplies two tables that every dense gate already keeps per call; the
+path is the same in and out of a scope.  An *orbit plan* (the
+concatenated orbits and, per orbit size, their positions) of a gate that
+moves kets is keyed on each term's ladder factors in order and the
+state's kets in table order: which ket a term reaches reads neither a
+phase nor a coefficient, so equal keys give equal plans.  A *block
+exponential* of size 2 and up is keyed on the exact bytes of an
 ``(s, s)`` block: ``expm`` exponentiates each slice of a stack on its own,
-so a block met again gets the bits it got the first time.  The one router,
-:func:`_exponentials`, serves every gate in and out of a scope.  Every gate
-that moves kets still builds its generator matrix; every gate checks the
-blocks it exponentiates Hermitian and prunes its output, and every circuit
-still checks its norm.  The scope lives in a
-:class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
-or raises, so nothing is kept across commands.  Outside a scope a gate
-only pays the ``ContextVar.get()``.
+so a block met again gets the bits it got the first time.  A stack of
+1 x 1 blocks goes whole to ``expm``, which takes ``np.exp`` of it
+elementwise, so a diagonal gate (every phase shifter) has no plan to keep
+and never touches the scope.  Every gate that moves kets still builds its
+generator matrix; every gate checks the blocks it exponentiates Hermitian
+and prunes its output, and every circuit still checks its norm.  The
+scope lives in a :class:`contextvars.ContextVar`; it is reset when the
+``with`` block ends or raises, so nothing is kept across commands.
 
-A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets raises
+A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets, or whose
+largest orbit exceeds :data:`ORBIT_BLOCK_MAX` kets, raises
 PreconditionError before it builds anything on that basis.
 
 scipy
@@ -96,6 +98,8 @@ ANGLED_KINDS = tuple(kind for kind, (_, angle) in GATE_KINDS.items() if angle)
 _HERM_ATOL = 1e-12
 #: most kets one dense gate works on; a gate that moves kets builds a d x d generator on them (1 GiB of complex128 at the cap)
 ORBIT_BASIS_MAX = 8192
+#: most kets in one orbit block; ``expm`` of an s x s block needs several s x s complex work arrays
+ORBIT_BLOCK_MAX = 4096
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -110,12 +114,12 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 class _ScanScope:
-    """Orbit plans and block exponentials shared by the gates of one scan; see :func:`scan_scope`."""
+    """The plan and block tables the gates of one scan share, in place of their per-call ones; see :func:`scan_scope`."""
 
     def __init__(self) -> None:
-        #: (each term's ladder factors, the kets in table order) -> :func:`_orbit_plan`
+        #: (each term's ladder factors, the kets in table order) -> :func:`_orbit_plan`, for gates that move kets
         self.plans: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
-        #: exact bytes of an (s, s) block -> its exponential
+        #: exact bytes of an (s, s) block with s >= 2 -> its exponential
         self.blocks: dict[bytes, np.ndarray] = {}
 
 
@@ -126,10 +130,13 @@ _SCAN_SCOPE: ContextVar[_ScanScope | None] = ContextVar("anyonsim_scan_scope", d
 def scan_scope() -> Iterator[_ScanScope]:
     """Share orbit plans and block exponentials among the dense gates run inside the ``with`` block.
 
-    Exact: a plan depends only on which kets each term reaches, and
-    ``expm`` exponentiates every slice of a stack on its own, so a reused
-    plan or block gives the bits a fresh one would.  The scope ends with
-    the block, also when it raises; nothing is kept across scopes.
+    The scope's two tables stand in for the ones each gate keeps per call:
+    orbit plans of gates that move kets, and exponentials of blocks of size
+    2 and up (1 x 1 stacks go whole to ``expm``, so a diagonal gate shares
+    nothing).  Exact: a plan depends only on which kets each term reaches,
+    and ``expm`` exponentiates every slice of a stack on its own, so a
+    reused plan or block gives the bits a fresh one would.  The scope ends
+    with the block, also when it raises; nothing is kept across scopes.
     """
     scope = _ScanScope()
     token = _SCAN_SCOPE.set(scope)
@@ -296,8 +303,10 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     is exactly 0, because the orbits are closed.  Each stack is checked
     Hermitian (``|h_rc - conj(h_cr)| <= _HERM_ATOL``) before any goes to
     ``expm``, then goes through :func:`_exponentials` and one ``einsum``
-    tail.  Inside :func:`scan_scope` a moving generator's plan comes from
-    the scope when it holds it.
+    tail.  A moving generator's plan comes from one table: the scope's
+    inside a :func:`scan_scope`, a fresh one per call outside.  A diagonal
+    generator's trivial plan is not kept and its 1 x 1 stack goes whole to
+    ``expm``, so it never touches the scope.
     """
     if not state.amplitudes:
         return state
@@ -306,18 +315,19 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     moves = any(shape[2] for shape in shapes)  # some term flips a mode
     if not moves:
         basis, stacks = list(state.amplitudes), [np.arange(len(state.amplitudes))[:, None]]
-    elif scope is None:
-        basis, stacks = _orbit_plan(shapes, state.amplitudes)
     else:
+        plans = {} if scope is None else scope.plans
         key = (tuple(term.factors for term in expr.terms), tuple(state.amplitudes))
-        plan = scope.plans.get(key)
-        if plan is None:
-            plan = scope.plans[key] = _orbit_plan(shapes, state.amplitudes)
-        basis, stacks = plan
+        if key not in plans:
+            plans[key] = _orbit_plan(shapes, state.amplitudes)
+        basis, stacks = plans[key]
     if len(basis) > ORBIT_BASIS_MAX:
         raise PreconditionError(
             f"gate orbit basis has d = {len(basis)} kets, over the dense budget of {ORBIT_BASIS_MAX} kets per gate"
         )
+    size = max(idx.shape[1] for idx in stacks)
+    if size > ORBIT_BLOCK_MAX:
+        raise PreconditionError(f"gate orbit block has s = {size} kets, over the dense budget of {ORBIT_BLOCK_MAX} kets per block")
     if moves:
         h = operator_matrix(expr, state.phi, basis)
         blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
@@ -358,14 +368,14 @@ def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
     """``expm`` of each slice of a C-contiguous ``(k, s, s)`` stack, with the bits of a per-slice call.
 
     ``expm`` exponentiates every slice on its own, so a block met again
-    gets the bits it got the first time.  One table, keyed on a block's
-    bytes, holds the exponentials: the scope's ``blocks``, or a fresh one
-    per call outside a scope.  Only the blocks the table lacks are sent, in
-    first-occurrence order.  Outside a scope a stack of 1 x 1 blocks goes
-    whole: scipy takes ``np.exp`` of it elementwise, so a dedupe would save
-    nothing.
+    gets the bits it got the first time.  A stack of 1 x 1 blocks goes
+    whole, in a scope or not: scipy takes ``np.exp`` of it elementwise, so
+    a dedupe would save nothing.  For larger blocks one table, keyed on a
+    block's bytes, holds the exponentials: the scope's ``blocks``, or a
+    fresh one per call outside a scope.  Only the blocks the table lacks
+    are sent, in first-occurrence order.
     """
-    if scope is None and blocks.shape[1] == 1:
+    if blocks.shape[1] == 1:
         return expm(blocks)
     table = {} if scope is None else scope.blocks
     raw, step = blocks.tobytes(), blocks[0].nbytes

@@ -1,4 +1,4 @@
-"""A dense gate whose orbit basis is over the budget exits 4 before its generator matrix is allocated."""
+"""A dense gate whose orbit basis or orbit block is over the budget exits 4 before its generator matrix is allocated."""
 
 import json
 import os
@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anyonsim.optics as optics_mod
-from anyonsim import AnyonState, PreconditionError
+from anyonsim import AnyonState, BogoliubovPair, PreconditionError, apply_induced_bogoliubov, basis_state
 from anyonsim.cli import main
 from anyonsim.optics import Circuit, bs, ps, run_circuit
-from anyonsim.states import occ_to_string
+from anyonsim.states import occ_from_string, occ_to_string
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,3 +117,65 @@ def test_a_distant_beam_splitter_on_a_full_15_mode_sector_runs_under_a_memory_ca
     proc = subprocess.run([sys.executable, "-c", FULL_15_7], env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["6435", "6435"]
+
+
+def pairing_transformation(m):
+    """A V != 0 transformation, hopping along the chain and pairing on (1, 2): from a Fock state, one orbit of 2^(m - 1) kets."""
+    a = np.diag(np.full(m - 1, 0.3 + 0.0j), 1)
+    a += a.T
+    b = np.zeros((m, m), dtype=complex)
+    b[0, 1], b[1, 0] = 0.4, -0.4
+    return BogoliubovPair.from_generator(a, b)
+
+
+def table_bytes(state):
+    return list(state.amplitudes), np.array(list(state.amplitudes.values()), dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+def test_an_orbit_block_over_the_budget_is_refused_before_the_matrix(monkeypatch, cap):
+    state, pair = basis_state("100", 1.1), pairing_transformation(3)
+    uncapped = apply_induced_bogoliubov(state, pair)
+    built = []
+    real = optics_mod.operator_matrix
+
+    def spy(expr, phi, basis):
+        built.append(list(basis))
+        return real(expr, phi, basis)
+
+    monkeypatch.setattr(optics_mod, "ORBIT_BLOCK_MAX", cap)
+    monkeypatch.setattr(optics_mod, "operator_matrix", spy)
+    if cap == 3:
+        with pytest.raises(PreconditionError, match=r"^gate orbit block has s = 4 kets, over the dense budget of 3 kets per block$"):
+            apply_induced_bogoliubov(state, pair)
+        assert built == []
+    else:
+        assert table_bytes(apply_induced_bogoliubov(state, pair)) == table_bytes(uncapped)
+        assert built == [[occ_from_string(occ) for occ in ("100", "010", "001", "111")]]  # one orbit
+
+
+#: the pairing transformation on a 14-mode Fock state: one orbit of d = 8192 kets, at the basis budget
+PAIRING_14 = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_dense_budget import pairing_transformation
+from anyonsim import PreconditionError, apply_induced_bogoliubov, basis_state
+try:
+    apply_induced_bogoliubov(basis_state("1" + "0" * 13), pairing_transformation(14))
+except PreconditionError as exc:
+    print(exc)
+"""
+
+
+def test_a_pairing_transformation_on_14_modes_is_refused_under_a_memory_cap():
+    # d = 8192 passes ORBIT_BASIS_MAX; its one 8192-ket block is over ORBIT_BLOCK_MAX, so nothing d x d is built
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    script = PAIRING_14.format(tests=str(Path(__file__).resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "gate orbit block has s = 8192 kets, over the dense budget of 4096 kets per block"

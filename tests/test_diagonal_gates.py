@@ -83,12 +83,12 @@ def test_a_diagonal_gate_builds_no_matrix_and_walks_no_orbits(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("phi", PHIS)
-def test_inside_a_scan_scope_blocks_are_shared_with_the_same_bits(rng, monkeypatch, phi):
+def test_a_diagonal_gate_shares_nothing_in_a_scan_scope(rng, monkeypatch, phi):
     sent = []
     real_expm = optics_mod.expm
 
     def spy(stack):
-        sent.extend(block.tobytes() for block in stack)
+        sent.append(stack.copy())
         return real_expm(stack)
 
     psi = full_state(rng, 5, phi)
@@ -98,9 +98,10 @@ def test_inside_a_scan_scope_blocks_are_shared_with_the_same_bits(rng, monkeypat
     with scan_scope() as scope:
         inside = [table_bytes(_apply_orbit_exponential(psi, expr).amplitudes) for expr in exprs]
     assert inside == outside == [table_bytes(per_ket_reference(psi, expr)) for expr in exprs]
-    assert not scope.plans  # a diagonal gate takes no orbit plan
-    # each distinct 1 x 1 block reaches expm once, through the scope
-    assert sent and len(sent) == len(set(sent)) and set(sent) == set(scope.blocks)
+    assert not scope.plans and not scope.blocks  # a diagonal gate keeps no orbit plan and no block
+    # each gate's whole (k, 1, 1) stack reaches expm, the repeated gate's again
+    assert [stack.shape for stack in sent] == [(len(psi.amplitudes), 1, 1)] * len(exprs)
+    assert sent[2].tobytes() == sent[0].tobytes()
 
 
 @pytest.mark.parametrize("in_scope", [False, True])

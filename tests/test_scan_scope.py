@@ -121,7 +121,10 @@ def test_each_distinct_block_reaches_expm_once_per_scan(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(optics_mod, "expm", spy)
     assert main([*argv, "--out", str(tmp_path / "scan.csv")]) == 0
-    assert seen and len(seen) == len(set(seen)), f"{len(seen)} slices, {len(set(seen))} distinct"
+    larger = [block for block in seen if len(block) > 16]  # larger than 1 x 1: one complex128 is 16 bytes
+    assert larger and len(larger) == len(set(larger)), f"{len(larger)} slices, {len(set(larger))} distinct"
+    ones = [block for block in seen if len(block) == 16]
+    assert len(ones) > len(set(ones))  # 1 x 1 stacks go whole at every point, repeats included
 
 
 def test_each_scan_gets_its_own_scope(tmp_path, monkeypatch):
@@ -174,6 +177,22 @@ def test_library_calls_outside_a_scan_share_nothing(monkeypatch):
     half = len(seen)
     run_circuit(split_pair(0.0), circuit)
     assert half > 0 and seen[half:] == seen[:half]  # the second run exponentiates its blocks again
+
+
+def test_library_calls_outside_a_scan_each_plan_their_orbits(monkeypatch):
+    planned = []
+    real_plan = optics_mod._orbit_plan
+
+    def spy(shapes, kets):
+        planned.append(tuple(kets))
+        return real_plan(shapes, kets)
+
+    monkeypatch.setattr(optics_mod, "_orbit_plan", spy)
+    circuit = Circuit(4, 0.0, (bs(1, 2, 0.4),))
+    first = run_circuit(split_pair(0.0), circuit)
+    second = run_circuit(split_pair(0.0), circuit)
+    assert table_bytes(first) == table_bytes(second)
+    assert len(planned) == 2 and planned[0] == planned[1]  # the second call plans again: no table outlives a call
 
 
 def plan_of(scope, state, gate):
