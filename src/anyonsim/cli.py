@@ -155,11 +155,6 @@ def _scan_template(circuit_data: dict, theta: float, phi: float) -> tuple[Circui
     return circuit_from_json_dict({"m": circuit_data["m"], "phi": phi, "gates": gates}), slots
 
 
-def _bind_theta(circuit_data: dict, theta: float, phi: float) -> Circuit:
-    """The circuit in sector ``phi`` with ``theta`` at every null angle (:func:`_scan_template` without the positions)."""
-    return _scan_template(circuit_data, theta, phi)[0]
-
-
 def _rebind_theta(template: Circuit, slots: list[int], theta: float, phi: float) -> Circuit:
     """``template`` in sector ``phi`` with ``theta`` at the gates in ``slots``; :class:`GateElement` still validates each angle."""
     gates = list(template.gates)

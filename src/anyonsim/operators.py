@@ -251,22 +251,13 @@ def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     return AnyonState(state.m, state.phi, prune(out))
 
 
-def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int]]:
-    """The orbits of ``kets`` under the terms of ``expr``, in order of first reach.
-
-    An orbit is every ket that a starting ket reaches by repeated action of
-    the terms; a ket that an earlier orbit already holds starts none.  Which
-    ket a term reaches depends on neither the sector ``phi`` nor a
-    coefficient, so the walk reads only each term's :func:`_term_shape`
-    and computes no phase.  The union of the orbits is closed under
-    ``expr``, so :func:`operator_matrix` on their concatenation is
-    block-diagonal (for a Hermitian ``expr``), one block per orbit.
-    """
-    return _orbits(list(map(_term_shape, expr.terms)), kets)
-
-
 def _orbits(shapes: list, kets: Iterable[int]) -> list[list[int]]:
-    """:func:`orbits` from the :func:`_term_shape` of each term."""
+    """The orbits of ``kets`` under the terms with :func:`_term_shape` ``shapes``, in order of first reach.
+
+    An orbit is every ket a starting ket reaches by repeated action of the
+    terms; a ket an earlier orbit holds starts none.  Only the masks are
+    read, so the walk computes no phase.
+    """
     moves = [shape[:3] for shape in shapes if shape is not None]
     seen: set[int] = set()
     out: list[list[int]] = []

@@ -18,9 +18,7 @@ or orbit walk.  Every gate, diagonal or not, then ends in the same tail:
 each stack of blocks is checked Hermitian, one router sends the stacks to
 ``expm`` and one ``einsum`` applies them.  The blocks are the whole
 generator on the orbits: a term sends a ket only into its own orbit, so
-every entry between two orbits is exactly 0.  The whole-sector exponential
-(:func:`_apply_sector_exponential`) and closed-form actions are used only
-as test oracles.
+every entry between two orbits is exactly 0.
 
 ``FSWAP(i, j)`` is the statistics-mapped image of the fermionic mode swap:
 it acts on the amplitude table exactly as the fermionic closed form
@@ -66,7 +64,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -233,47 +230,6 @@ def generator_expr(gate: GateElement, m: int) -> OperatorExpr:
     if gate.kind == "BS":
         return hopping(m, gate.i, gate.j, c)
     return pair_source(m, gate.i, gate.j, c)
-
-
-def _occ_count(occ: int) -> int:
-    return occ.bit_count()
-
-
-def _occ_parity(occ: int) -> int:
-    return occ.bit_count() % 2
-
-
-def _sector_basis(m: int, key: int, by_parity: bool) -> list[int]:
-    """Basis of a number sector (in combinations order) or a parity sector (ascending)."""
-    if by_parity:
-        return [occ for occ in range(1 << m) if occ.bit_count() % 2 == key]
-    return [sum(1 << k for k in picks) for picks in combinations(range(m), key)]
-
-
-def _apply_sector_exponential(state: AnyonState, expr: OperatorExpr, sector_of) -> AnyonState:
-    """exp(i * expr) on each whole sector the state touches; ``sector_of`` is _occ_count or _occ_parity.
-
-    The test oracle for :func:`_apply_orbit_exponential`; no gate calls it.
-    """
-    groups: dict[int, dict[int, complex]] = {}
-    for occ, amp in state.amplitudes.items():
-        groups.setdefault(sector_of(occ), {})[occ] = amp
-    out: dict[int, complex] = {}
-    for key, comps in groups.items():
-        basis = _sector_basis(state.m, key, sector_of is _occ_parity)
-        h = operator_matrix(expr, state.phi, basis)
-        if np.max(np.abs(h - h.conj().T)) > _HERM_ATOL:
-            raise InvariantBreachError("gate generator is not Hermitian on its sector")
-        u = expm(1j * h)
-        vec = np.zeros(len(basis), dtype=complex)
-        index = {occ: k for k, occ in enumerate(basis)}
-        for occ, amp in comps.items():
-            vec[index[occ]] = amp
-        vec = u @ vec
-        for occ, k in index.items():
-            if abs(vec[k]) > 0.0:
-                out[occ] = out.get(occ, 0.0) + vec[k]
-    return AnyonState(state.m, state.phi, prune(out))
 
 
 def _orbit_plan(shapes: list, kets) -> tuple[list[int], list[np.ndarray]]:

@@ -8,9 +8,10 @@ from scipy.linalg import expm
 
 import anyonsim.optics as optics_mod
 from anyonsim import AnyonState, bs, pa, ps
-from anyonsim.operators import operator_matrix, orbits
+from anyonsim.operators import operator_matrix
 from anyonsim.optics import _apply_orbit_exponential, _exponentials, generator_expr, scan_scope
 from anyonsim.states import prune
+from conftest import orbits
 
 
 def per_block_reference(state, expr):

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonsim.cli import _bind_theta, main
+from anyonsim.cli import _scan_template, main
 from anyonsim.entanglement import _Z_FLOOR, is_separable, slater_decompose
 from anyonsim.optics import run_circuit
 from anyonsim.presets import split_pair
@@ -57,7 +57,7 @@ def test_fine_theta_scan_reports_the_cross_checked_rank(tmp_path, capsys):
         for line in lines[1:]:
             phi, theta, *_, rank = line.split(",")
             sector = wrap_phi(float(phi))
-            evolved = run_circuit(transmute_state(split_pair(), sector), _bind_theta(circuit, float(theta), sector))
+            evolved = run_circuit(transmute_state(split_pair(), sector), _scan_template(circuit, float(theta), sector)[0])
             assert int(rank) == is_separable(evolved, tol=1e-8).slater_rank == 1
 
 

@@ -28,13 +28,13 @@ from anyonsim.operators import (
     hopping,
     number,
     operator_matrix,
-    orbits,
     term_adjoint,
     term_product,
 )
 from anyonsim.optics import _apply_orbit_exponential
 from anyonsim.states import annihilate_component, create_component, prune
 from anyonsim.transmute import TransmutationMap, transmute_operator
+from conftest import orbits
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
