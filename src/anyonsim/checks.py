@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
 from .operators import annihilation, apply_operator_expr, creation, identity_expr, number
 from .optics import ANGLED_KINDS, Circuit, apply_fswap, apply_gate, bs, decompose_distant, fswap, pa, ps, run_circuit
 from .fastpath import anyonic_amplitude_via_fastpath
-from .states import AnyonState, basis_state, max_amplitude_diff
+from .states import AnyonState, apply_create, basis_state, max_amplitude_diff
 from .transmute import TransmutationMap, transmute_operator
 
 # 11 points covering [0, 2*pi) with both statistics endpoints 0 and pi on it
@@ -85,11 +84,11 @@ def check_statistics_endpoints(m_values=(2, 3, 4), atol=1e-10) -> CheckResult:
     worst = 0.0
     for m in m_values:
         for occ in range(1 << m):
+            ket = basis_state(occ, 0.0, m)
             for i in range(1, m + 1):
-                step = states.create_component(0.0, occ, i)
-                if step is not None:
-                    expected = -1.0 if states.n_left(occ, i) % 2 else 1.0
-                    worst = max(worst, abs(step[1] - expected))
+                bit = 1 << (i - 1)
+                expected = 0.0 if occ & bit else (-1.0) ** (occ & (bit - 1)).bit_count()
+                worst = max(worst, abs(apply_create(ket, i).amplitude(occ | bit) - expected))
         for occ in range(1 << m):
             ket_pi = basis_state(occ, np.pi, m)
             for i in range(1, m + 1):

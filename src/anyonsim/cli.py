@@ -77,7 +77,11 @@ def _load_json(path: str) -> dict:
 
 
 def _load_state(args) -> AnyonState:
-    """Exactly one of ``--preset`` and ``--state``; a state file with no amplitude above ``PRUNE_EPS`` raises PreconditionError."""
+    """Exactly one of ``--preset`` and ``--state``.
+
+    A state file with no amplitude above ``PRUNE_EPS``, or whose ``|psi|^2``
+    overflows to inf, raises PreconditionError.
+    """
     if (args.preset is None) == (args.state is None):
         raise ValueError("exactly one of --state and --preset is required")
     phi = getattr(args, "phi", None)
@@ -92,6 +96,9 @@ def _load_state(args) -> AnyonState:
     state = state_from_json_dict(_load_json(args.state))
     if not prune(state.amplitudes):
         raise PreconditionError(f"state has no amplitude above {PRUNE_EPS:g} in magnitude: the zero vector")
+    # abs(a) * abs(a) overflows to inf where abs(a) ** 2 and math.fsum raise OverflowError
+    if not math.isfinite(sum(abs(a) * abs(a) for a in state.amplitudes.values())):
+        raise PreconditionError("state has |psi|^2 = inf: its squared norm is over the float range")
     return state
 
 
@@ -128,8 +135,9 @@ def cmd_run(args) -> int:
     if engine == "both":
         delta = max_amplitude_diff(dense_out.amplitudes, fast_out.amplitudes)
         print(f"max |dense - fastpath| = {delta:.3e}", file=sys.stderr)
-        if delta > args.tol:
-            raise InvariantBreachError(f"dense and fast-path amplitudes differ by {delta:.3e} > tol {args.tol:g}")
+        tol = args.tol * max(1.0, state.norm())  # relative above norm 1, as the squared-norm check is
+        if delta > tol:
+            raise InvariantBreachError(f"dense and fast-path amplitudes differ by {delta:.3e} > tol {tol:g}")
 
     rows = sorted(((occ_to_string(occ, final.m), amp) for occ, amp in final.amplitudes.items()), key=itemgetter(0))
     body = "".join(f"{occ},{_fmt(amp.real)},{_fmt(amp.imag)}\n" for occ, amp in rows)

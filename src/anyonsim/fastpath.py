@@ -52,6 +52,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, islice
+from typing import Mapping
 
 import numpy as np
 
@@ -310,8 +311,8 @@ def _apply_pa12(table: dict[int, complex], theta: float) -> dict[int, complex]:
     return out
 
 
-def _evolve_table(table: dict[int, complex], circuit: Circuit) -> dict[int, complex]:
-    """Each PA(1, 2) gate in place, each maximal run of other gates as one compiled segment."""
+def _evolve_table(table: Mapping[int, complex], circuit: Circuit) -> dict[int, complex]:
+    """Each PA(1, 2) gate in place, each maximal run of other gates as one compiled segment; ``table`` is only read."""
     for is_pa, run in groupby(circuit.gates, key=lambda gate: gate.kind == "PA"):
         if is_pa:
             for gate in run:
@@ -333,16 +334,16 @@ def run_circuit_fastpath(state: AnyonState, circuit: Circuit) -> AnyonState:
     """
     check_fits(state, circuit)
     check_family(circuit)
-    evolved = AnyonState(state.m, state.phi, _evolve_table(dict(state.amplitudes), circuit))
+    evolved = AnyonState(state.m, state.phi, _evolve_table(state.amplitudes, circuit))
     check_norm_kept(state, evolved)
     return evolved
 
 
 def anyonic_amplitude_via_fastpath(circuit: Circuit, x: int, y: int) -> complex:
     """Amplitude <y|circuit|x> for an in-family circuit, valid in every sector."""
-    check_family(circuit)
     if not any(g.kind == "PA" for g in circuit.gates):
         return amplitude_number_conserving(compile_single_particle(circuit), x, y)
+    check_family(circuit)  # compile_single_particle checks a PA-free circuit
     check_occs(circuit.m, (x, y))
     evolved = _evolve_table({x: 1.0 + 0.0j}, circuit)
     return complex(evolved.get(y, 0.0))

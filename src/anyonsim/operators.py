@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .states import AnyonState, check_index, check_mode, check_mode_count, prune, reorder_phase
+from .states import AnyonState, check_index, check_mode_count, prune, reorder_phase
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -56,10 +56,16 @@ class LadderTerm:
     weights: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        wide = False  # some mode is of an integer type such as np.int64: store them all as int
         for mode, kind in self.factors:
             if kind not in (CREATE, ANNIHILATE):
                 raise PreconditionError(f"unknown ladder kind {kind!r}")
-            check_index(mode)
+            wide |= check_index(mode) is not mode
+        for mode in self.weights:
+            wide |= check_index(mode) is not mode
+        if wide:
+            object.__setattr__(self, "factors", tuple((check_index(mode), kind) for mode, kind in self.factors))
+            object.__setattr__(self, "weights", {check_index(mode): w for mode, w in self.weights.items()})
 
 
 def term_product(t1: LadderTerm, t2: LadderTerm) -> LadderTerm:
@@ -96,13 +102,16 @@ class OperatorExpr:
     terms: tuple[LadderTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        check_mode_count(self.m)
-        for t in self.terms:
-            for mode, _ in t.factors:  # LadderTerm checked each is an index
-                if mode > self.m:
-                    raise PreconditionError(f"mode index {mode} out of range 1..{self.m}")
+        m = check_mode_count(self.m)
+        if m is not self.m:  # an integer type such as np.int64, stored as int
+            object.__setattr__(self, "m", m)
+        for t in self.terms:  # LadderTerm checked each mode is an index
+            for mode, _ in t.factors:
+                if mode > m:
+                    raise PreconditionError(f"mode index {mode} out of range 1..{m}")
             for mode in t.weights:
-                check_mode(self.m, mode)
+                if mode > m:
+                    raise PreconditionError(f"mode index {mode} out of range 1..{m}")
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         if self.m != other.m:

@@ -155,8 +155,10 @@ class GateElement:
     def __post_init__(self) -> None:
         if not (isinstance(self.kind, str) and self.kind in GATE_KINDS):
             raise PreconditionError(f"unknown gate kind {self.kind!r}")
-        for k in self.modes():
-            check_index(k)
+        i, j = check_index(self.i), None if self.j is None else check_index(self.j)
+        if i is not self.i or j is not self.j:  # an integer type such as np.int64, stored as int
+            object.__setattr__(self, "i", i)
+            object.__setattr__(self, "j", j)
         two_modes, angle = GATE_KINDS[self.kind]
         if (self.j is not None) != two_modes or (self.theta is not None) != angle:
             raise PreconditionError(f"{self.kind} takes {'two modes' if two_modes else 'one mode'} and {'an' if angle else 'no'} angle")
@@ -200,7 +202,9 @@ class Circuit:
     gates: tuple[GateElement, ...] = ()
 
     def __post_init__(self) -> None:
-        check_mode_count(self.m)
+        m = check_mode_count(self.m)
+        if m is not self.m:  # an integer type such as np.int64, stored as int
+            object.__setattr__(self, "m", m)
         for g in self.gates:
             for k in g.modes():
                 check_mode(self.m, k)
@@ -220,11 +224,19 @@ def generator_expr(gate: GateElement, m: int) -> OperatorExpr:
     """The Hermitian generator of gate = exp(i * generator), angle folded in.
 
     Each term is built once with coefficient ``theta * (1.0 + 0.0j)``, the
-    product ``theta * expr`` would form (with its signed zeros).
+    product ``theta * expr`` would form (with its signed zeros).  Every
+    gate generator has eigenvalues in {-1, 0, 1} on its orbits, so the gate
+    has period 2*pi in theta: ``|theta| > pi`` is folded into (-pi, pi] as
+    ``atan2(sin(theta), cos(theta))``, which keeps the generator's entries
+    (and their rounding) at most pi in size; ``|theta| <= pi`` is used as
+    given.  The gate's label, wire form and inverse keep the angle as given.
     """
     if gate.theta is None:  # FSWAP, the mapped swap (see the module docstring)
         raise PreconditionError(f"{gate.kind} has no single generator form here")
-    c = gate.theta * (1.0 + 0.0j)
+    theta = gate.theta
+    if abs(theta) > math.pi:
+        theta = math.atan2(math.sin(theta), math.cos(theta))
+    c = theta * (1.0 + 0.0j)
     if gate.kind == "PS":
         return number(m, gate.i, c)
     if gate.kind == "BS":
@@ -346,9 +358,7 @@ def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
 
 
 def apply_gate(state: AnyonState, gate: GateElement) -> AnyonState:
-    """Exact unitary action of one optical element on a state."""
-    for k in gate.modes():
-        check_mode(state.m, k)
+    """Exact unitary action of one optical element on a state; :func:`apply_fswap` or the generator refuses a mode above ``state.m``."""
     if gate.kind == "FSWAP":
         return apply_fswap(state, gate.i, gate.j)
     return _apply_orbit_exponential(state, generator_expr(gate, state.m))
@@ -363,8 +373,7 @@ def apply_fswap(state: AnyonState, i: int, j: int) -> AnyonState:
     """
     if i == j:
         raise PreconditionError("FSWAP needs two distinct modes")
-    check_mode(state.m, i)
-    check_mode(state.m, j)
+    i, j = check_mode(state.m, i), check_mode(state.m, j)
     lo, hi = min(i, j), max(i, j)
     bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
     between = ((1 << (hi - 1)) - 1) ^ ((1 << lo) - 1)

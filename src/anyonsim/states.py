@@ -15,7 +15,12 @@ Conventions used throughout the package:
 
 States are immutable; every operation returns a new state.  Amplitudes with
 magnitude below :data:`PRUNE_EPS` are dropped after each operator
-application.
+application.  :func:`apply_create` and :func:`apply_annihilate` test the
+mode bit and multiply each ket by its reordering phase in one loop.
+
+Every mode index, slot and mode count goes through :func:`check_index`,
+which hands back an integer type such as ``np.int64`` as the ``int`` it
+names; the package stores and shifts that ``int``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -71,11 +77,6 @@ def occ_to_string(occ: int, m: int) -> str:
     return format(occ & ((1 << m) - 1), f"0{m}b")[::-1]
 
 
-def n_left(occ: int, i: int) -> int:
-    """Number of occupied modes strictly below mode i."""
-    return (occ & ((1 << (i - 1)) - 1)).bit_count()
-
-
 def reorder_phase(phi: float, crossings: int) -> complex:
     """Phase for moving a creation operator past ``crossings`` occupied modes."""
     if crossings == 0:
@@ -92,29 +93,37 @@ def same_sector(phi_a: float, phi_b: float) -> bool:
     return min(d, TWO_PI - d) <= 1e-12
 
 
-def check_index(i: int, what: str = "mode index") -> None:
-    """Raise PreconditionError unless i, a mode index, slot or mode count (``what`` names it), is an integer >= 1.
+def check_index(i: int, what: str = "mode index") -> int:
+    """``i`` as an ``int``; PreconditionError unless i, a mode index, slot or mode count (``what`` names it), is an integer >= 1.
 
-    A bool is refused; a type with ``__index__``, such as ``np.int64``, passes.
+    A bool is refused; a type with ``__index__``, such as ``np.int64``, passes
+    and comes back as ``operator.index(i)``, so that ``1 << i`` is exact
+    Python arithmetic (``1 << np.int64(65)`` is 0).  An ``int`` comes back
+    as itself.
     """
-    if type(i) is not int and (isinstance(i, bool) or not hasattr(type(i), "__index__")):
-        raise PreconditionError(f"{what} must be an integer, got {i!r}")
+    if type(i) is not int:
+        if isinstance(i, bool) or not hasattr(type(i), "__index__"):
+            raise PreconditionError(f"{what} must be an integer, got {i!r}")
+        i = operator.index(i)
     if i < 1:
         raise PreconditionError(f"{what} {i} must be >= 1")
+    return i
 
 
-def check_mode_count(m: int) -> None:
-    """Raise PreconditionError unless mode count m is an integer >= 1 (:func:`check_index`) of at most :data:`MODE_COUNT_MAX`."""
-    check_index(m, "mode count")
+def check_mode_count(m: int) -> int:
+    """Mode count m as an ``int`` (:func:`check_index`); PreconditionError unless it is also at most :data:`MODE_COUNT_MAX`."""
+    m = check_index(m, "mode count")
     if m > MODE_COUNT_MAX:
         raise PreconditionError(f"mode count {m} is over the bound of {MODE_COUNT_MAX} modes")
+    return m
 
 
-def check_mode(m: int, i: int) -> None:
-    """Raise PreconditionError unless mode index i is an index (:func:`check_index`) of at most m."""
-    check_index(i)
+def check_mode(m: int, i: int) -> int:
+    """Mode index i as an ``int`` (:func:`check_index`); PreconditionError unless it is also at most m."""
+    i = check_index(i)
     if i > m:
         raise PreconditionError(f"mode index {i} out of range 1..{m}")
+    return i
 
 
 def check_sector(phi: float) -> None:
@@ -184,7 +193,9 @@ class AnyonState:
     amplitudes: Mapping[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_mode_count(self.m)
+        m = check_mode_count(self.m)
+        if m is not self.m:  # an integer type such as np.int64, stored as int
+            object.__setattr__(self, "m", m)
         check_sector(self.phi)
         check_occs(self.m, self.amplitudes)
 
@@ -262,51 +273,29 @@ def prune(table: dict[int, complex]) -> dict[int, complex]:
     return out
 
 
-def create_component(phi: float, occ: int, i: int) -> tuple[int, complex] | None:
-    """Action of the mode-i creation operator on a single basis ket.
-
-    Returns the new bitmask and phase, or None when mode i is occupied.
-    """
-    bit = 1 << (i - 1)
-    if occ & bit:
-        return None
-    return occ | bit, reorder_phase(phi, n_left(occ, i))
-
-
-def annihilate_component(phi: float, occ: int, i: int) -> tuple[int, complex] | None:
-    """Adjoint of :func:`create_component`; None when mode i is empty."""
-    bit = 1 << (i - 1)
-    if not occ & bit:
-        return None
-    return occ ^ bit, reorder_phase(phi, n_left(occ, i)).conjugate()
-
-
 def apply_create(state: AnyonState, i: int) -> AnyonState:
-    """Apply the creation operator for mode i; occupied components vanish."""
-    check_mode(state.m, i)
+    """Apply the creation operator for mode i; occupied components vanish, the others gain the phase of the occupied modes below i."""
+    bit = 1 << (check_mode(state.m, i) - 1)
     out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
-        res = create_component(state.phi, occ, i)
-        if res is not None:
-            out[res[0]] = amp * res[1]
+        if not occ & bit:
+            out[occ | bit] = amp * reorder_phase(state.phi, (occ & (bit - 1)).bit_count())
     return AnyonState(state.m, state.phi, prune(out))
 
 
 def apply_annihilate(state: AnyonState, i: int) -> AnyonState:
-    """Apply the annihilation operator for mode i; empty components vanish."""
-    check_mode(state.m, i)
+    """Apply the annihilation operator for mode i, the adjoint of :func:`apply_create`; empty components vanish."""
+    bit = 1 << (check_mode(state.m, i) - 1)
     out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
-        res = annihilate_component(state.phi, occ, i)
-        if res is not None:
-            out[res[0]] = amp * res[1]
+        if occ & bit:
+            out[occ ^ bit] = amp * reorder_phase(state.phi, (occ & (bit - 1)).bit_count()).conjugate()
     return AnyonState(state.m, state.phi, prune(out))
 
 
 def apply_number(state: AnyonState, i: int) -> AnyonState:
     """Apply the number operator for mode i (keeps occupied components only)."""
-    check_mode(state.m, i)
-    bit = 1 << (i - 1)
+    bit = 1 << (check_mode(state.m, i) - 1)
     return AnyonState(state.m, state.phi, {occ: amp for occ, amp in state.amplitudes.items() if occ & bit})
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from anyonsim import AnyonState, OperatorExpr
 from anyonsim.operators import _orbits, _term_shape
+from anyonsim.states import reorder_phase
 
 
 def table_diff(a: AnyonState | dict, b: AnyonState | dict) -> float:
@@ -24,6 +25,30 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
     block-diagonal (for a Hermitian ``expr``), one block per orbit.
     """
     return _orbits(list(map(_term_shape, expr.terms)), kets)
+
+
+def n_left(occ: int, i: int) -> int:
+    """Number of occupied modes strictly below mode i."""
+    return (occ & ((1 << (i - 1)) - 1)).bit_count()
+
+
+def create_component(phi: float, occ: int, i: int) -> tuple[int, complex] | None:
+    """Action of the mode-i creation operator on a single basis ket.
+
+    Returns the new bitmask and phase, or None when mode i is occupied.
+    """
+    bit = 1 << (i - 1)
+    if occ & bit:
+        return None
+    return occ | bit, reorder_phase(phi, n_left(occ, i))
+
+
+def annihilate_component(phi: float, occ: int, i: int) -> tuple[int, complex] | None:
+    """Adjoint of :func:`create_component`; None when mode i is empty."""
+    bit = 1 << (i - 1)
+    if not occ & bit:
+        return None
+    return occ ^ bit, reorder_phase(phi, n_left(occ, i)).conjugate()
 
 
 def random_state(rng: np.random.Generator, m: int, phi: float, n: int | None = None) -> AnyonState:

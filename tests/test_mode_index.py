@@ -23,8 +23,9 @@ from anyonsim import (
     vacuum,
 )
 from anyonsim.cli import main
-from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, run_circuit
-from anyonsim.states import MODE_COUNT_MAX
+from anyonsim.fastpath import run_circuit_fastpath
+from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, bs, circuit_to_json_dict, ps, run_circuit
+from anyonsim.states import MODE_COUNT_MAX, state_to_json_dict
 
 PSI = AnyonState(4, 1.1, {0b0011: 0.6 + 0.0j, 0b0101: 0.0 + 0.8j})
 BAD = [1.5, 1.0, np.float64(2.0), True, False, np.True_, "1"]
@@ -179,3 +180,45 @@ def test_a_state_file_with_a_huge_mode_count_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: mode count 1000000000000000019884624838656 is over the bound")
     assert "Traceback" not in err
+
+
+WIDE = AnyonState(70, 0.0, {1 << 65: 1.0 + 0.0j, 1 << 3: 0.5 + 0.0j})
+
+
+def test_numpy_modes_above_63_act_as_python_ints():
+    # 1 << np.int64(65) is numpy int64 arithmetic; stored as int, the modes shift exactly
+    narrow, wide = Circuit(70, 0.0, (bs(66, 67, 0.3),)), Circuit(70, 0.0, (bs(np.int64(66), np.int64(67), 0.3),))
+    for engine in (run_circuit, run_circuit_fastpath):
+        assert table_bytes(engine(WIDE, wide)) == table_bytes(engine(WIDE, narrow))
+    assert set(run_circuit(WIDE, wide).amplitudes) == {1 << 65, 1 << 66, 1 << 3}
+
+
+@pytest.mark.parametrize("op", [apply_create, apply_annihilate, apply_number])
+@pytest.mark.parametrize("i", [66, 67, 4])
+def test_ladder_operators_take_numpy_modes_above_63(op, i):
+    assert table_bytes(op(WIDE, np.int64(i))) == table_bytes(op(WIDE, i))
+
+
+def test_fswap_takes_numpy_modes_above_63():
+    assert table_bytes(apply_fswap(WIDE, np.int64(66), np.int64(67))) == table_bytes(apply_fswap(WIDE, 66, 67))
+    assert set(apply_fswap(WIDE, 66, 67).amplitudes) == {1 << 66, 1 << 3}
+
+
+def test_a_numpy_mode_count_of_64_holds_a_64_mode_table():
+    state = AnyonState(np.int64(64), 0.0, {1: 1.0, 1 << 63: 1.0})
+    assert type(state.m) is int and state == AnyonState(64, 0.0, {1: 1.0, 1 << 63: 1.0})
+
+
+def test_numpy_indices_are_stored_as_int():
+    gate = GateElement("BS", np.int64(1), np.int64(3), 0.3)
+    term = LadderTerm(1.0 + 0.0j, ((np.int64(2), CREATE),), {np.int64(3): 0.5})
+    expr = OperatorExpr(np.int64(4), (term,))
+    stored = [gate.i, gate.j, term.factors[0][0], *term.weights, expr.m, Circuit(np.int64(4), 0.0, (gate,)).m]
+    assert [type(k) for k in stored] == [int] * 6
+
+
+def test_numpy_fields_serialize_as_json():
+    circuit = Circuit(np.int64(4), 0.0, (GateElement("BS", np.int64(1), np.int64(2), 0.3), GateElement("PS", np.int64(3), None, 0.1)))
+    assert json.dumps(circuit_to_json_dict(circuit)) == json.dumps(circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.3), ps(3, 0.1)))))
+    state = AnyonState(np.int64(4), 0.0, {0b0101: 1.0 + 0.0j})
+    assert json.loads(json.dumps(state_to_json_dict(state)))["m"] == 4

@@ -1,9 +1,9 @@
 """The term kernel and its per-call phase tables give the bits of the per-factor ladder calls.
 
 The reference below is the per-factor implementation the kernel replaced:
-every factor goes through :func:`~anyonsim.states.create_component` or
-:func:`~anyonsim.states.annihilate_component`, which compute the reordering
-phase with ``cmath.exp`` on every call.
+every factor goes through ``create_component`` or ``annihilate_component``
+in ``tests/conftest.py``, which compute the reordering phase with
+``cmath.exp`` on every call.
 """
 
 import cmath
@@ -32,9 +32,9 @@ from anyonsim.operators import (
     term_product,
 )
 from anyonsim.optics import _apply_orbit_exponential
-from anyonsim.states import annihilate_component, create_component, prune
+from anyonsim.states import prune
 from anyonsim.transmute import TransmutationMap, transmute_operator
-from conftest import orbits
+from conftest import annihilate_component, create_component, orbits
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
