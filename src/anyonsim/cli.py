@@ -80,7 +80,8 @@ def _load_state(args) -> AnyonState:
     """Exactly one of ``--preset`` and ``--state``.
 
     A state file with no amplitude above ``PRUNE_EPS``, or whose ``|psi|^2``
-    overflows to inf, raises PreconditionError.
+    overflows to inf (:meth:`~anyonsim.states.AnyonState.norm`), raises
+    PreconditionError.
     """
     if (args.preset is None) == (args.state is None):
         raise ValueError("exactly one of --state and --preset is required")
@@ -96,9 +97,7 @@ def _load_state(args) -> AnyonState:
     state = state_from_json_dict(_load_json(args.state))
     if not prune(state.amplitudes):
         raise PreconditionError(f"state has no amplitude above {PRUNE_EPS:g} in magnitude: the zero vector")
-    # abs(a) * abs(a) overflows to inf where abs(a) ** 2 and math.fsum raise OverflowError
-    if not math.isfinite(sum(abs(a) * abs(a) for a in state.amplitudes.values())):
-        raise PreconditionError("state has |psi|^2 = inf: its squared norm is over the float range")
+    state.norm()  # refuses a |psi|^2 over the float range
     return state
 
 

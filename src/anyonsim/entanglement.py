@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
-from .fastpath import _rotate_table
+from .fastpath import SingleParticleUnitary, _evolve_nc_block
 from .states import (
     NORM_ATOL,
     AnyonState,
@@ -420,7 +420,7 @@ def reconstruct_from_slater(dec: SlaterDecomposition, m: int) -> AnyonState:
     if m != len(dec.mode_unitary):
         raise PreconditionError(f"decomposition is over {len(dec.mode_unitary)} modes, not {m}")
     table = {3 << 2 * k: complex(zk) for k, zk in enumerate(dec.z)}
-    return AnyonState(m, 0.0, _rotate_table(table, dec.mode_unitary.conj().T))
+    return AnyonState(m, 0.0, _evolve_nc_block(table, SingleParticleUnitary(dec.mode_unitary.conj().T)))
 
 
 @dataclass(frozen=True)

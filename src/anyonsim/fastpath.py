@@ -15,8 +15,9 @@ circuit has a banded transfer matrix, so a particle reaches few modes).
 Of the row sets inside the cone, only those that meet every input column
 are evaluated, as stacked determinants: one ``np.linalg.det`` call per
 chunk of (input, row set) pairs.  This is exact: every skipped minor has a
-zero row or a zero column, LU returns exactly +-0 for it once the transfer
-matrix has no subnormal part, and adding +-0 leaves a running total's bits
+zero row or a zero column, LU returns exactly +-0 for it because
+:class:`SingleParticleUnitary` flushes every subnormal part of the transfer
+matrix to 0, and adding +-0 leaves a running total's bits
 unchanged, so the table is bit for bit that of the full C(m, N)
 enumeration.  A row that is the only live row of some column of every
 input of a sector is forced: a row set without it has a zero column for
@@ -36,7 +37,7 @@ forces 19 rows and evaluates 21 minors out of C(40, 20).
 
 Every other single-particle rotation (``apply_induced_bogoliubov`` with
 V = 0, ``reconstruct_from_slater``) runs here too, through
-:func:`_rotate_table`, under the same light cone and minor budget.
+:func:`_evolve_nc_block`, under the same light cone and minor budget.
 
 ``PA(1, 2)`` is also admitted: its action is dense but strictly local to
 the two lowest modes (they have no modes to their left), so evolution
@@ -73,14 +74,24 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class SingleParticleUnitary:
-    """Transfer matrix of a number-conserving circuit on creation operators."""
+    """Transfer matrix of a number-conserving circuit on creation operators.
+
+    ``matrix`` is kept as a read-only complex copy whose real and imaginary
+    parts below the smallest normal float are set to 0 before the unitarity
+    check: LAPACK's LU gives NaN for a singular minor holding a subnormal
+    entry (det([[0, 0], [2.2e-313j, 1]]) is NaN).
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        u = self.matrix
+        u = np.array(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise InvariantBreachError("transfer matrix must be square")
+        for part in (u.real, u.imag):
+            part[np.abs(part) < _TINY] = 0.0
+        u.flags.writeable = False
+        object.__setattr__(self, "matrix", u)
         dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
         if not dev <= _UNITARY_ATOL:  # NaN fails too
             raise InvariantBreachError(f"transfer matrix is not unitary (deviation {dev:.3e})")
@@ -125,8 +136,7 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
     Gates compose left to right: the first listed gate multiplies first.
     One identity buffer serves the whole segment: each gate writes its
     entries into it, multiplies the running total by all of it, and puts
-    the identity back.  Real and imaginary parts below the smallest normal
-    float are set to 0.
+    the identity back.
     """
     check_family(circuit)
     t = np.eye(circuit.m, dtype=complex)
@@ -140,17 +150,7 @@ def compile_single_particle(circuit: Circuit) -> SingleParticleUnitary:
         total = t @ total
         for r, c, _ in entries:
             t[r, c] = 1.0 if r == c else 0.0
-    return _flushed(total)
-
-
-def _flushed(t: np.ndarray) -> SingleParticleUnitary:
-    """A copy of ``t`` with real and imaginary parts below the smallest normal float set to 0."""
-    t = np.array(t, dtype=complex)
-    # LAPACK's LU gives NaN for a singular minor holding a subnormal entry
-    # (det([[0, 0], [2.2e-313j, 1]]) is NaN); flush such parts to zero
-    for part in (t.real, t.imag):
-        part[np.abs(part) < _TINY] = 0.0
-    return SingleParticleUnitary(t)
+    return SingleParticleUnitary(total)
 
 
 def _occupied(occ: int, m: int) -> list[int]:
@@ -163,9 +163,10 @@ def amplitude_number_conserving(u: SingleParticleUnitary, x: int, y: int) -> com
 
     Configurations with different particle numbers have amplitude zero;
     that case is flagged with a :class:`ParticleNumberMismatch` warning.
-    Raises PreconditionError for a bitmask outside ``0 <= x < 2**m``.
+    Raises PreconditionError for a bitmask that is not an integer in
+    ``0 <= x < 2**m`` (:func:`~anyonsim.states.check_occs`).
     """
-    check_occs(u.m, (x, y))
+    x, y = check_occs(u.m, (x, y))
     n_x, n_y = x.bit_count(), y.bit_count()
     if n_x != n_y:
         warnings.warn(
@@ -219,20 +220,13 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
     lexicographic order within each sector, as the full enumeration gives
     them.  Output bitmasks are summed as Python ints, so any ``m`` works.
 
-    Raises InvariantBreachError if ``u`` has a subnormal part, and
-    PreconditionError, before evaluating anything, if the segment would
-    enumerate more than ``_MINOR_BUDGET`` minors: per sector, the larger of
-    C(|union of the cones| - |F|, N - |F|) and the sum over the inputs of
-    C(|cone| - |F|, N - |F|).
+    Raises PreconditionError, before evaluating anything, if the segment
+    would enumerate more than ``_MINOR_BUDGET`` minors: per sector, the
+    larger of C(|union of the cones| - |F|, N - |F|) and the sum over the
+    inputs of C(|cone| - |F|, N - |F|), and InvariantBreachError if a
+    target's total is not finite.
     """
     m = u.m
-    parts = np.abs(np.stack([u.matrix.real, u.matrix.imag]))
-    if parts[parts < _TINY].any():
-        # LU can turn a minor holding a subnormal entry into NaN, and the
-        # skipped minors would no longer be exactly zero
-        raise InvariantBreachError(
-            "transfer matrix has a subnormal part, for which a minor's determinant may be not finite"
-        )
     by_n: dict[int, list[int]] = {}
     for occ in table:
         by_n.setdefault(occ.bit_count(), []).append(occ)
@@ -290,11 +284,6 @@ def _evolve_nc_block(table: dict[int, complex], u: SingleParticleUnitary) -> dic
     return out
 
 
-def _rotate_table(table: dict[int, complex], t: np.ndarray) -> dict[int, complex]:
-    """:func:`_evolve_nc_block` for the rotation ``a+_i -> sum_j t[j, i] a+_j``, subnormal parts of ``t`` flushed."""
-    return _evolve_nc_block(table, _flushed(t))
-
-
 def _apply_pa12(table: dict[int, complex], theta: float) -> dict[int, complex]:
     c, s = np.cos(theta), np.sin(theta)
     out: dict[int, complex] = {}
@@ -344,6 +333,6 @@ def anyonic_amplitude_via_fastpath(circuit: Circuit, x: int, y: int) -> complex:
     if not any(g.kind == "PA" for g in circuit.gates):
         return amplitude_number_conserving(compile_single_particle(circuit), x, y)
     check_family(circuit)  # compile_single_particle checks a PA-free circuit
-    check_occs(circuit.m, (x, y))
+    x, y = check_occs(circuit.m, (x, y))
     evolved = _evolve_table({x: 1.0 + 0.0j}, circuit)
     return complex(evolved.get(y, 0.0))

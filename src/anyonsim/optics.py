@@ -508,6 +508,8 @@ class BogoliubovPair:
 
         ``a`` must be Hermitian, ``b`` antisymmetric; the generator is
         ``sum a_kl n-conserving terms + (1/2) sum (b_kl a+_k a+_l + h.c.)``.
+        A generator whose exponential overflows gives a non-finite pair, which
+        :meth:`validate` refuses; no RuntimeWarning escapes.
         """
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
@@ -521,7 +523,8 @@ class BogoliubovPair:
         if np.max(np.abs(b + b.T)) > 1e-12:
             raise PreconditionError("pairing block of the generator must be antisymmetric")
         big = np.block([[a.T, b.conj()], [-b, -a]])
-        exp_big = expm(1j * big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_big = expm(1j * big)
         return cls(exp_big[:m, :m], exp_big[:m, m:], generator=(a, b))
 
     def mode_count(self) -> int:
@@ -531,15 +534,20 @@ class BogoliubovPair:
         return bool(np.max(np.abs(self.v)) <= 1e-12)
 
     def validate(self) -> None:
+        """Raise PreconditionError unless U and V are square, equal-sized, finite and canonical within 1e-10.
+
+        A residual that overflows, to inf or NaN, fails without a RuntimeWarning.
+        """
         m = self.u.shape[0]
         if self.u.shape != (m, m) or self.v.shape != (m, m):
             raise PreconditionError("U and V must be square matrices of equal size")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise PreconditionError("U and V must be finite")
         eye = np.eye(m)
-        r1 = np.max(np.abs(self.u @ self.u.conj().T + self.v @ self.v.conj().T - eye))
-        r2 = np.max(np.abs(self.u @ self.v.T + self.v @ self.u.T))
-        if r1 > 1e-10 or r2 > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1 = np.max(np.abs(self.u @ self.u.conj().T + self.v @ self.v.conj().T - eye))
+            r2 = np.max(np.abs(self.u @ self.v.T + self.v @ self.u.T))
+        if not (r1 <= 1e-10 and r2 <= 1e-10):
             raise PreconditionError(
                 f"not a canonical pair: |UU+ + VV+ - 1| = {r1:.3e}, |UV^T + VU^T| = {r2:.3e}"
             )
@@ -571,9 +579,9 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
         raise PreconditionError(f"transformation is over {pair.mode_count()} modes, state over {state.m}")
     psi = fermionize(state)
     if pair.is_rotation():
-        from .fastpath import _rotate_table  # fastpath imports this module
+        from .fastpath import SingleParticleUnitary, _evolve_nc_block  # fastpath imports this module
 
-        result = AnyonState(state.m, 0.0, prune(_rotate_table(psi.amplitudes, pair.u.T)))
+        result = AnyonState(state.m, 0.0, prune(_evolve_nc_block(psi.amplitudes, SingleParticleUnitary(pair.u.T))))
     else:
         if pair.generator is None:
             raise PreconditionError("pairing transformations must carry their quadratic generator")

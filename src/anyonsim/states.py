@@ -20,7 +20,8 @@ mode bit and multiply each ket by its reordering phase in one loop.
 
 Every mode index, slot and mode count goes through :func:`check_index`,
 which hands back an integer type such as ``np.int64`` as the ``int`` it
-names; the package stores and shifts that ``int``.
+names; the package stores and shifts that ``int``.  Occupation bitmasks
+follow the same rule through :func:`check_occs`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Mapping
+
+import numpy as np
 
 from .errors import InvariantBreachError, PreconditionError
 
@@ -93,6 +96,13 @@ def same_sector(phi_a: float, phi_b: float) -> bool:
     return min(d, TWO_PI - d) <= 1e-12
 
 
+def _as_int(i, what: str) -> int:
+    """``operator.index(i)``; PreconditionError for a bool or a type without ``__index__``, such as a float."""
+    if isinstance(i, bool) or not hasattr(type(i), "__index__"):
+        raise PreconditionError(f"{what} must be an integer, got {i!r}")
+    return operator.index(i)
+
+
 def check_index(i: int, what: str = "mode index") -> int:
     """``i`` as an ``int``; PreconditionError unless i, a mode index, slot or mode count (``what`` names it), is an integer >= 1.
 
@@ -102,9 +112,7 @@ def check_index(i: int, what: str = "mode index") -> int:
     as itself.
     """
     if type(i) is not int:
-        if isinstance(i, bool) or not hasattr(type(i), "__index__"):
-            raise PreconditionError(f"{what} must be an integer, got {i!r}")
-        i = operator.index(i)
+        i = _as_int(i, what)
     if i < 1:
         raise PreconditionError(f"{what} {i} must be >= 1")
     return i
@@ -132,12 +140,21 @@ def check_sector(phi: float) -> None:
         raise PreconditionError(f"statistical parameter must lie in [0, 2*pi), got {phi}")
 
 
-def check_occs(m: int, occs: Iterable[int]) -> None:
-    """Raise PreconditionError unless every bitmask in ``occs`` is a configuration of m modes."""
+def check_occs(m: int, occs: Collection[int]) -> Collection[int]:
+    """The bitmasks in ``occs`` as ``int``s; PreconditionError unless each is an integer configuration of m modes.
+
+    Bitmasks follow :func:`check_index`'s rule: a bool or a non-integral
+    type such as a float is refused, and a type with ``__index__`` such as
+    ``np.int64`` comes back as the ``int`` it names, in a new list.  When
+    every bitmask is an ``int``, ``occs`` itself comes back.
+    """
     top = 1 << m
     for occ in occs:
+        if type(occ) is not int:
+            return check_occs(m, [_as_int(occ, "occupation bitmask") for occ in occs])
         if not 0 <= occ < top:
             raise PreconditionError(f"occupation bitmask {occ} does not fit {m} modes")
+    return occs
 
 
 def check_tol(name: str, tol: float) -> None:
@@ -197,7 +214,12 @@ class AnyonState:
         if m is not self.m:  # an integer type such as np.int64, stored as int
             object.__setattr__(self, "m", m)
         check_sector(self.phi)
-        check_occs(self.m, self.amplitudes)
+        occs = check_occs(m, self.amplitudes)
+        if occs is not self.amplitudes:  # integer types such as np.int64, stored as int
+            table = dict(zip(occs, self.amplitudes.values()))
+            if len(table) < len(occs):
+                raise PreconditionError("two occupation bitmasks name the same configuration")
+            object.__setattr__(self, "amplitudes", table)
 
     def amplitude(self, occ: int | str) -> complex:
         if isinstance(occ, str):
@@ -205,7 +227,15 @@ class AnyonState:
         return complex(self.amplitudes.get(occ, 0.0))
 
     def norm(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values()) ** 0.5
+        """The square root of the sum of ``abs(a) ** 2``; PreconditionError if that sum is over the float range."""
+        try:
+            with np.errstate(over="ignore"):  # a numpy amplitude gives inf, with no RuntimeWarning
+                norm2 = sum(abs(a) ** 2 for a in self.amplitudes.values())
+        except OverflowError:  # a Python amplitude raises
+            norm2 = math.inf
+        if norm2 == math.inf:
+            raise PreconditionError("state has |psi|^2 = inf: its squared norm is over the float range")
+        return norm2 ** 0.5
 
     def normalized(self) -> "AnyonState":
         n = self.norm()

@@ -31,7 +31,7 @@ def per_gate_eye_product(circuit):
             t[a, a] = t[b, b] = 0.0
             t[a, b] = t[b, a] = 1.0
         total = t @ total
-    return fastpath._flushed(total).matrix
+    return fastpath.SingleParticleUnitary(total).matrix
 
 
 def random_circuit(rng, m, n_gates):

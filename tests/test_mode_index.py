@@ -1,4 +1,4 @@
-"""A mode index, a kept particle slot or a mode count is an integer of at least 1: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
+"""A mode index, a kept particle slot or a mode count is an integer of at least 1, and an occupation bitmask an integer: bools and non-integral numbers are refused, integer types such as ``np.int64`` pass."""
 
 import json
 
@@ -23,8 +23,8 @@ from anyonsim import (
     vacuum,
 )
 from anyonsim.cli import main
-from anyonsim.fastpath import run_circuit_fastpath
-from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, bs, circuit_to_json_dict, ps, run_circuit
+from anyonsim.fastpath import SingleParticleUnitary, amplitude_number_conserving, anyonic_amplitude_via_fastpath, run_circuit_fastpath
+from anyonsim.optics import Circuit, GateElement, apply_fswap, apply_gate, bs, circuit_to_json_dict, fswap, pa, ps, run_circuit
 from anyonsim.states import MODE_COUNT_MAX, state_to_json_dict
 
 PSI = AnyonState(4, 1.1, {0b0011: 0.6 + 0.0j, 0b0101: 0.0 + 0.8j})
@@ -222,3 +222,64 @@ def test_numpy_fields_serialize_as_json():
     assert json.dumps(circuit_to_json_dict(circuit)) == json.dumps(circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.3), ps(3, 0.1)))))
     state = AnyonState(np.int64(4), 0.0, {0b0101: 1.0 + 0.0j})
     assert json.loads(json.dumps(state_to_json_dict(state)))["m"] == 4
+
+
+@pytest.mark.parametrize("occ", [1.0, np.float64(1.0), 0.5, "1"], ids=repr)
+def test_a_bitmask_key_must_be_an_integer(occ):
+    with pytest.raises(PreconditionError, match="occupation bitmask must be an integer"):
+        AnyonState(2, 0.0, {occ: 1.0 + 0.0j})
+
+
+@pytest.mark.parametrize("occ", [True, np.True_], ids=repr)
+def test_a_bool_bitmask_key_is_refused(occ):
+    with pytest.raises(PreconditionError, match="occupation bitmask must be an integer"):
+        AnyonState(2, 0.0, {occ: 1.0 + 0.0j})
+
+
+# two particles per ket, one numpy key, on the top modes of a 70-mode state
+NUMPY_KEYED = AnyonState(70, 0.0, {np.int64(0b11): 0.6 + 0.0j, 0b11 << 68: 0.8 + 0.0j})
+INT_KEYED = AnyonState(70, 0.0, {0b11: 0.6 + 0.0j, 0b11 << 68: 0.8 + 0.0j})
+
+
+def test_numpy_bitmask_keys_are_stored_as_int():
+    assert [type(occ) for occ in NUMPY_KEYED.amplitudes] == [int, int]
+    assert NUMPY_KEYED == INT_KEYED
+
+
+@pytest.mark.parametrize("gate", [ps(70, 0.3), bs(69, 70, 0.3), fswap(2, 70)], ids=lambda gate: gate.label())
+def test_gates_on_mode_70_act_on_numpy_bitmask_keys(gate):
+    assert table_bytes(apply_gate(NUMPY_KEYED, gate)) == table_bytes(apply_gate(INT_KEYED, gate))
+
+
+def test_particle_trace_reads_numpy_bitmask_keys():
+    assert np.array_equal(particle_trace_rdm(NUMPY_KEYED).matrix, particle_trace_rdm(INT_KEYED).matrix)
+
+
+def test_two_keys_naming_one_configuration_are_refused():
+    class Three:
+        def __index__(self):
+            return 3
+
+    with pytest.raises(PreconditionError, match="two occupation bitmasks name the same configuration"):
+        AnyonState(2, 0.0, {Three(): 0.6, Three(): 0.8})
+
+
+U3 = SingleParticleUnitary(np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("x, y", [(3.0, 3), (3, 3.0), (True, 1)], ids=repr)
+def test_a_determinant_amplitude_refuses_a_non_integer_bitmask(x, y):
+    with pytest.raises(PreconditionError, match="occupation bitmask must be an integer"):
+        amplitude_number_conserving(U3, x, y)
+
+
+@pytest.mark.parametrize("gates", [(ps(1, 0.1),), (pa(1, 2, 0.4),)], ids=["PS", "PA"])
+def test_a_fast_path_amplitude_refuses_a_non_integer_bitmask(gates):
+    with pytest.raises(PreconditionError, match="occupation bitmask must be an integer"):
+        anyonic_amplitude_via_fastpath(Circuit(3, 0.0, gates), 0.0, 3)
+
+
+@pytest.mark.parametrize("gates", [(bs(1, 2, 0.4),), (pa(1, 2, 0.4), bs(2, 3, 0.7))], ids=["BS", "PA-BS"])
+def test_a_fast_path_amplitude_takes_numpy_bitmasks(gates):
+    circuit = Circuit(3, 0.0, gates)
+    assert anyonic_amplitude_via_fastpath(circuit, np.int64(0b011), np.int64(0b101)) == anyonic_amplitude_via_fastpath(circuit, 0b011, 0b101)

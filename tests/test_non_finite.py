@@ -1,12 +1,23 @@
-"""Non-finite amplitudes fail loudly, and subnormal transfer entries cannot make one."""
+"""Non-finite amplitudes and squared norms fail loudly, and subnormal transfer entries cannot make one."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import anyonsim.optics as optics_mod
-from anyonsim import AnyonState, Circuit, InvariantBreachError, bs, circuit_to_json_dict, run_circuit, run_circuit_fastpath
+from anyonsim import (
+    AnyonState,
+    BogoliubovPair,
+    Circuit,
+    InvariantBreachError,
+    apply_induced_bogoliubov,
+    bs,
+    circuit_to_json_dict,
+    run_circuit,
+    run_circuit_fastpath,
+)
 from anyonsim import fastpath
 from anyonsim.cli import main
 from anyonsim.entanglement import DensityMatrix, is_separable, slater_decompose, von_neumann_entropy
@@ -52,12 +63,24 @@ def test_compiled_transfer_matrix_has_no_subnormal_part():
     assert not np.any((parts > 0.0) & (parts < np.finfo(float).tiny))
 
 
-def test_block_raises_on_non_finite_total():
-    # the unflushed transfer matrix: LAPACK returns NaN for the singular minor holding 2.2e-313j
+def test_single_particle_unitary_flushes_its_own_subnormal_parts():
     u = np.eye(3, dtype=complex)
     u[1, 2] = u[2, 1] = 2.2250738585e-313j
-    with pytest.raises(InvariantBreachError, match="not finite"):
-        fastpath._evolve_nc_block(dict(SUBNORMAL_STATE.amplitudes), fastpath.SingleParticleUnitary(u))
+    flushed = fastpath.SingleParticleUnitary(u)
+    assert flushed.matrix[1, 2] == 0.0 and flushed.matrix[2, 1] == 0.0
+    assert u[1, 2] == 2.2250738585e-313j  # the caller's array is copied, not flushed in place
+    with pytest.raises(ValueError, match="read-only"):
+        flushed.matrix[0, 0] = 0.0
+    # unflushed, LAPACK's LU makes the singular minor NaN
+    assert fastpath.amplitude_number_conserving(flushed, 0b110, 0b101) == 0.0
+
+
+def test_block_on_a_subnormal_transfer_matrix_gives_the_flushed_answer():
+    # unflushed, LAPACK returns NaN for the singular minor holding 2.2e-313j
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = u[2, 1] = 2.2250738585e-313j
+    out = fastpath._evolve_nc_block(dict(SUBNORMAL_STATE.amplitudes), fastpath.SingleParticleUnitary(u))
+    assert out == {0b101: 0.6, 0b110: 0.8}
 
 
 NAN = float("nan")
@@ -92,3 +115,53 @@ def test_separability_tolerances_must_be_finite_and_nonnegative(tol):
     with pytest.raises(PreconditionError, match="tol must be finite"):
         is_separable(state, tol=tol)
     assert is_separable(state, tol=0.0).slater_rank == slater_decompose(state, rank_tol=0.0).rank == 2
+
+
+SQUARED_NORM_OVERFLOWS = {
+    "one 1e200": {0b0011: 1e200},
+    "four 1e154": dict.fromkeys((0b0011, 0b0101, 0b0110, 0b1001), 1e154),
+    "four numpy 1e154": dict.fromkeys((0b0011, 0b0101, 0b0110, 0b1001), np.complex128(1e154)),
+}
+CIRCUIT = Circuit(4, 0.0, (bs(1, 2, 0.3),))
+
+
+@pytest.mark.parametrize("table", SQUARED_NORM_OVERFLOWS.values(), ids=SQUARED_NORM_OVERFLOWS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        AnyonState.norm,
+        AnyonState.normalized,
+        lambda state: run_circuit(state, CIRCUIT),
+        lambda state: run_circuit_fastpath(state, CIRCUIT),
+        is_separable,
+    ],
+    ids=["norm", "normalized", "run_circuit", "run_circuit_fastpath", "is_separable"],
+)
+def test_a_squared_norm_over_the_float_range_is_refused(table, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy amplitudes overflow to inf with a RuntimeWarning, which stays in
+        with pytest.raises(PreconditionError, match=r"^state has \|psi\|\^2 = inf: its squared norm is over the float range$"):
+            call(AnyonState(4, 0.0, table))
+
+
+def test_a_finite_squared_norm_keeps_its_bits():
+    state = AnyonState(4, 0.0, {0b0011: np.complex128(0.6 + 0.1j), 0b0101: 0.3 - 0.7j, 0b0110: 1e150})
+    assert state.norm() == sum(abs(a) ** 2 for a in state.amplitudes.values()) ** 0.5
+
+
+def test_a_generator_whose_exponential_overflows_is_refused_without_a_warning():
+    s = 1e20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = BogoliubovPair.from_generator([[0.0, s], [s, 0.0]], [[0.0, s], [-s, 0.0]])
+        with pytest.raises(PreconditionError, match="^U and V must be finite$"):
+            apply_induced_bogoliubov(AnyonState(2, 0.0, {0b00: 1.0}), pair)
+
+
+def test_a_pair_whose_residual_overflows_to_nan_is_refused_without_a_warning():
+    # U U^+ has imaginary part 1e400 - 1e400 = inf - inf = NaN, which no comparison with the tolerance catches
+    pair = BogoliubovPair.from_rotation([[1e200 + 1e200j, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="^not a canonical pair"):
+            pair.validate()
