@@ -189,12 +189,11 @@ def cmd_entropy_scan(args) -> int:
     and run at every point.
 
     The grid loop runs inside one :func:`~anyonsim.optics.scan_scope`:
-    every point still builds and checks its own generator matrices, but a
-    gate whose terms reach the same kets in the same order as at an earlier
-    point reuses that point's orbit plan, and an orbit block of size 2 and
-    up with the same bytes reuses its exponential.  Both depend on nothing
-    else, so every row keeps its bits.  The scope closes when the loop ends
-    or raises.
+    every point still walks its orbits and builds and checks its own
+    generator matrices, but an orbit block of size 2 and up with the bytes
+    of one met at an earlier point reuses its exponential.  That depends on
+    nothing else, so every row keeps its bits.  The scope closes when the
+    loop ends or raises.
 
     The circuit, ``--circuit`` or one null-angle ``BS(1, 2)`` over the
     state's modes, is parsed and validated once, after the grid is built;

@@ -14,11 +14,12 @@ exponentiated densely from the native matrix elements.  A generator that
 moves no ket, such as every phase shifter's ``theta * n_i``, is diagonal
 in every sector (``n_i`` commutes with the anyonic string), so each ket is
 its own orbit: its 1 x 1 blocks are read per ket, with no generator matrix
-or orbit walk.  Every gate, diagonal or not, then ends in the same tail:
-each stack of blocks is checked Hermitian, one router sends the stacks to
-``expm`` and one ``einsum`` applies them.  The blocks are the whole
-generator on the orbits: a term sends a ket only into its own orbit, so
-every entry between two orbits is exactly 0.
+or orbit walk.  Every term of a beam splitter or pairing gate moves a
+ket, so a ket alone in its orbit is one no term reaches: its block is 0
+and the gate leaves it alone.  Every other stack is checked Hermitian,
+sent to ``expm`` by one router and applied by one ``einsum``.  The blocks
+are the whole generator on the orbits: a term sends a ket only into its
+own orbit, so every entry between two orbits is exactly 0.
 
 ``FSWAP(i, j)`` is the statistics-mapped image of the fermionic mode swap:
 it acts on the amplitude table exactly as the fermionic closed form
@@ -29,22 +30,16 @@ at phi != 0 the mapped action is the defining one.
 Sharing within a scan
 ---------------------
 A :func:`scan_scope` (``entropy-scan`` opens one around its grid) only
-supplies two tables that every dense gate already keeps per call; the
-path is the same in and out of a scope.  An *orbit plan* (the
-concatenated orbits and, per orbit size, their positions) of a gate that
-moves kets is keyed on each term's ladder factors in order and the
-state's kets in table order: which ket a term reaches reads neither a
-phase nor a coefficient, so equal keys give equal plans.  A *block
-exponential* of size 2 and up is keyed on the exact bytes of an
-``(s, s)`` block: ``expm`` exponentiates each slice of a stack on its own,
-so a block met again gets the bits it got the first time.  A stack of
-1 x 1 blocks goes whole to ``expm``, which takes ``np.exp`` of it
-elementwise, so a diagonal gate (every phase shifter) has no plan to keep
-and never touches the scope.  Every gate that moves kets still builds its
-generator matrix; every gate checks the blocks it exponentiates Hermitian
-and prunes its output, and every circuit still checks its norm.  The
-scope lives in a :class:`contextvars.ContextVar`; it is reset when the
-``with`` block ends or raises, so nothing is kept across commands.
+supplies the table of block exponentials that every dense gate keeps per
+call, so the path is the same in and out of a scope.  A block of size 2
+and up is keyed on its exact ``(s, s)`` bytes: ``expm`` exponentiates
+each slice of a stack on its own, so a block met again gets the bits it
+got the first time.  A 1 x 1 stack goes whole to ``expm``, which takes
+``np.exp`` of it elementwise, so a phase shifter never touches the scope.
+Orbit walks, generator matrices, Hermiticity checks, pruning and the norm
+check run at every point.  The scope lives in a
+:class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
+or raises, so nothing is kept across commands.
 
 A gate whose orbit basis exceeds :data:`ORBIT_BASIS_MAX` kets, or whose
 largest orbit exceeds :data:`ORBIT_BLOCK_MAX` kets, raises
@@ -111,11 +106,9 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 class _ScanScope:
-    """The plan and block tables the gates of one scan share, in place of their per-call ones; see :func:`scan_scope`."""
+    """The block table the gates of one scan share, in place of their per-call ones; see :func:`scan_scope`."""
 
     def __init__(self) -> None:
-        #: (each term's ladder factors, the kets in table order) -> :func:`_orbit_plan`, for gates that move kets
-        self.plans: dict[tuple, tuple[list[int], list[np.ndarray]]] = {}
         #: exact bytes of an (s, s) block with s >= 2 -> its exponential
         self.blocks: dict[bytes, np.ndarray] = {}
 
@@ -125,15 +118,14 @@ _SCAN_SCOPE: ContextVar[_ScanScope | None] = ContextVar("anyonsim_scan_scope", d
 
 @contextmanager
 def scan_scope() -> Iterator[_ScanScope]:
-    """Share orbit plans and block exponentials among the dense gates run inside the ``with`` block.
+    """Share block exponentials among the dense gates run inside the ``with`` block.
 
-    The scope's two tables stand in for the ones each gate keeps per call:
-    orbit plans of gates that move kets, and exponentials of blocks of size
-    2 and up (1 x 1 stacks go whole to ``expm``, so a diagonal gate shares
-    nothing).  Exact: a plan depends only on which kets each term reaches,
-    and ``expm`` exponentiates every slice of a stack on its own, so a
-    reused plan or block gives the bits a fresh one would.  The scope ends
-    with the block, also when it raises; nothing is kept across scopes.
+    The scope's table stands in for the one each gate keeps per call: the
+    exponentials of blocks of size 2 and up (1 x 1 stacks go whole to
+    ``expm``, so a diagonal gate shares nothing).  Exact: ``expm``
+    exponentiates every slice of a stack on its own, so a reused block
+    gives the bits a fresh one would.  The scope ends with the block, also
+    when it raises; nothing is kept across scopes.
     """
     scope = _ScanScope()
     token = _SCAN_SCOPE.set(scope)
@@ -268,27 +260,21 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     its 1 x 1 blocks come from :func:`_diagonal_elements`, with no
     generator matrix.  Any other generator's matrix is built on the basis
     and its diagonal blocks are cut out per stack; every entry outside them
-    is exactly 0, because the orbits are closed.  Each stack is checked
-    Hermitian (``|h_rc - conj(h_cr)| <= _HERM_ATOL``) before any goes to
-    ``expm``, then goes through :func:`_exponentials` and one ``einsum``
-    tail.  A moving generator's plan comes from one table: the scope's
-    inside a :func:`scan_scope`, a fresh one per call outside.  A diagonal
-    generator's trivial plan is not kept and its 1 x 1 stack goes whole to
-    ``expm``, so it never touches the scope.
+    is exactly 0, because the orbits are closed.  If every term moves a ket
+    (every BS and PA), the 1 x 1 stack holds kets no term reaches: it is
+    dropped, and its amplitudes get ``+ 0.0``, the bits a 1 x 1 identity
+    gave them.  Each stack left is checked Hermitian (``|h_rc - conj(h_cr)|
+    <= _HERM_ATOL``) before any goes to ``expm``, then goes through
+    :func:`_exponentials` and one ``einsum`` tail.
     """
     if not state.amplitudes:
         return state
     shapes = list(filter(None, map(_term_shape, expr.terms)))  # the terms that act on some ket
-    scope = _SCAN_SCOPE.get()
     moves = any(shape[2] for shape in shapes)  # some term flips a mode
     if not moves:
         basis, stacks = list(state.amplitudes), [np.arange(len(state.amplitudes))[:, None]]
     else:
-        plans = {} if scope is None else scope.plans
-        key = (tuple(term.factors for term in expr.terms), tuple(state.amplitudes))
-        if key not in plans:
-            plans[key] = _orbit_plan(shapes, state.amplitudes)
-        basis, stacks = plans[key]
+        basis, stacks = _orbit_plan(shapes, state.amplitudes)
     if len(basis) > ORBIT_BASIS_MAX:
         raise PreconditionError(
             f"gate orbit basis has d = {len(basis)} kets, over the dense budget of {ORBIT_BASIS_MAX} kets per gate"
@@ -296,18 +282,23 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
     size = max(idx.shape[1] for idx in stacks)
     if size > ORBIT_BLOCK_MAX:
         raise PreconditionError(f"gate orbit block has s = {size} kets, over the dense budget of {ORBIT_BLOCK_MAX} kets per block")
+    vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
     if moves:
         h = operator_matrix(expr, state.phi, basis)
+        if all(shape[2] for shape in shapes):  # a 1 x 1 orbit is a ket no term reaches: exp(0) = 1
+            for idx in stacks:
+                if idx.shape[1] == 1:
+                    vec[idx] += 0.0  # a -0.0 part reads +0.0, the bits exponentiating its 0 block gives
+            stacks = [idx for idx in stacks if idx.shape[1] > 1]
         blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
     else:
         blocks = [np.array(_diagonal_elements(state, expr, shapes), dtype=complex)[:, None, None]]
     for stack in blocks:
         if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_ATOL:
             raise InvariantBreachError("gate generator is not Hermitian on its orbits")
-    vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
     for idx, stack in zip(stacks, blocks):
-        vec[idx] = np.einsum("kab,kb->ka", _exponentials(1j * stack, scope), vec[idx])
-    return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec))))
+        vec[idx] = np.einsum("kab,kb->ka", _exponentials(1j * stack, _SCAN_SCOPE.get()), vec[idx])
+    return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec.tolist()))))
 
 
 def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> list[complex]:
@@ -335,13 +326,13 @@ def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> l
 def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
     """``expm`` of each slice of a C-contiguous ``(k, s, s)`` stack, with the bits of a per-slice call.
 
-    ``expm`` exponentiates every slice on its own, so a block met again
-    gets the bits it got the first time.  A stack of 1 x 1 blocks goes
-    whole, in a scope or not: scipy takes ``np.exp`` of it elementwise, so
-    a dedupe would save nothing.  For larger blocks one table, keyed on a
-    block's bytes, holds the exponentials: the scope's ``blocks``, or a
-    fresh one per call outside a scope.  Only the blocks the table lacks
-    are sent, in first-occurrence order.
+    A 1 x 1 stack (of a generator with a term that moves no ket; a BS or
+    PA sends none) goes whole: scipy takes ``np.exp`` of it elementwise, so
+    a dedupe would save nothing.  Larger blocks are keyed on their bytes in
+    one table, the scope's ``blocks`` or a fresh one per call, and only the
+    blocks it lacks are sent, in first-occurrence order: ``expm``
+    exponentiates every slice on its own, so a block met again gets the
+    bits it got the first time.
     """
     if blocks.shape[1] == 1:
         return expm(blocks)
@@ -572,7 +563,9 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
     the amplitudes are minors of ``U.T`` on the determinant engine, whose
     minor budget raises PreconditionError (:mod:`anyonsim.fastpath`);
     otherwise the exponential of the stored generator acts on the orbits of
-    the state's kets.
+    the state's kets.  A squared norm moved by more than
+    :func:`~anyonsim.states.check_norm_kept` allows raises PreconditionError:
+    the pair is too large to act unitarily in double precision.
     """
     pair.validate()
     if pair.mode_count() != state.m:
@@ -587,4 +580,9 @@ def apply_induced_bogoliubov(state: AnyonState, pair: BogoliubovPair) -> AnyonSt
             raise PreconditionError("pairing transformations must carry their quadratic generator")
         expr = _quadratic_expr(state.m, *pair.generator)
         result = _apply_orbit_exponential(psi, expr)
-    return anyonize(result, state.phi)
+    out = anyonize(result, state.phi)
+    try:
+        check_norm_kept(state, out)
+    except InvariantBreachError as drift:
+        raise PreconditionError(f"the transformation is not unitary to working precision on this state: {drift}") from drift
+    return out

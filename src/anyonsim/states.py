@@ -259,7 +259,7 @@ def check_norm_kept(before: AnyonState, after: AnyonState) -> None:
     norm_in = before.norm() ** 2
     drift = abs(after.norm() ** 2 - norm_in)
     if not drift <= NORM_ATOL * max(1.0, norm_in):
-        raise InvariantBreachError(f"circuit changed the squared norm by {drift:.3e}")
+        raise InvariantBreachError(f"evolution changed the squared norm by {drift:.3e}")
 
 
 def vacuum(m: int, phi: float = 0.0) -> AnyonState:

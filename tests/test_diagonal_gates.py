@@ -98,7 +98,7 @@ def test_a_diagonal_gate_shares_nothing_in_a_scan_scope(rng, monkeypatch, phi):
     with scan_scope() as scope:
         inside = [table_bytes(_apply_orbit_exponential(psi, expr).amplitudes) for expr in exprs]
     assert inside == outside == [table_bytes(per_ket_reference(psi, expr)) for expr in exprs]
-    assert not scope.plans and not scope.blocks  # a diagonal gate keeps no orbit plan and no block
+    assert not scope.blocks  # a diagonal gate keeps no block
     # each gate's whole (k, 1, 1) stack reaches expm, the repeated gate's again
     assert [stack.shape for stack in sent] == [(len(psi.amplitudes), 1, 1)] * len(exprs)
     assert sent[2].tobytes() == sent[0].tobytes()

@@ -329,3 +329,19 @@ def test_bogoliubov_non_finite_generator_rejected(block):
 def test_a_gate_returns_an_empty_table_unchanged():
     empty = AnyonState(4, 1.3, {})
     assert apply_gate(empty, bs(1, 3, 0.4)) is empty
+
+
+def test_bogoliubov_that_moves_the_norm_is_refused():
+    # the pair passes validate (residual below 1e-10), but its orbit expm moves |psi|^2 of the vacuum by 2.26e-10
+    a = [[0, 1e6j], [-1e6j, 5e5]]
+    b = [[0, 1e6j], [-1e6j, 0]]
+    with pytest.raises(PreconditionError, match=r"changed the squared norm by 2\.2\d\de-10"):
+        apply_induced_bogoliubov(vacuum(2), BogoliubovPair.from_generator(a, b))
+
+
+def test_bogoliubov_rotation_that_moves_the_norm_is_refused():
+    # |UU+ - 1| = 9.8e-11 passes validate, but each of the two particles scales |psi|^2 by 1 + 9.8e-11
+    pair = BogoliubovPair.from_rotation(np.eye(4) * (1 + 4.9e-11))
+    pair.validate()
+    with pytest.raises(PreconditionError, match="changed the squared norm by 1.96"):
+        apply_induced_bogoliubov(split_pair(0.7), pair)
