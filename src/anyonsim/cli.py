@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 a ``check`` suite failed, 2 malformed input,
 3 engine/family mismatch, 4 precondition failure, 5 internal invariant
 breach.
 
-``run --engine fastpath`` and ``schmidt`` never load scipy; the first dense
-exponential does (see :mod:`anyonsim.optics`).
+``run --engine fastpath``, ``schmidt`` and a dense run of phase shifters and
+mode swaps alone never load scipy; the first dense exponential of a block of
+size 2 and up does (see :mod:`anyonsim.optics`).
 """
 
 from __future__ import annotations

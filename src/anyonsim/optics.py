@@ -13,11 +13,13 @@ induced Bogoliubov generator gives larger blocks.  Each block is
 exponentiated densely from the native matrix elements.  A generator that
 moves no ket, such as every phase shifter's ``theta * n_i``, is diagonal
 in every sector (``n_i`` commutes with the anyonic string), so each ket is
-its own orbit: its 1 x 1 blocks are read per ket, with no generator matrix
-or orbit walk.  Every term of a beam splitter or pairing gate moves a
-ket, so a ket alone in its orbit is one no term reaches: its block is 0
-and the gate leaves it alone.  Every other stack is checked Hermitian,
-sent to ``expm`` by one router and applied by one ``einsum``.  The blocks
+its own orbit and the gate only multiplies it by one phase: one pass over
+the table reads each ket's element, checks it real, and scales the
+amplitude by its exponential, with no generator matrix, orbit walk or
+``einsum``.  Every term of a beam splitter or pairing gate moves a ket, so
+a ket alone in its orbit is one no term reaches: its block is 0 and the
+gate leaves it alone.  Every other stack is checked Hermitian, sent to
+the exponential by one router and applied by one ``einsum``.  The blocks
 are the whole generator on the orbits: a term sends a ket only into its
 own orbit, so every entry between two orbits is exactly 0.
 
@@ -34,8 +36,9 @@ supplies the table of block exponentials that every dense gate keeps per
 call, so the path is the same in and out of a scope.  A block of size 2
 and up is keyed on its exact ``(s, s)`` bytes: ``expm`` exponentiates
 each slice of a stack on its own, so a block met again gets the bits it
-got the first time.  A 1 x 1 stack goes whole to ``expm``, which takes
-``np.exp`` of it elementwise, so a phase shifter never touches the scope.
+got the first time.  A 1 x 1 stack goes whole to ``np.exp``, the value
+scipy's ``expm`` returns for it, so a phase shifter never touches the
+scope.
 Orbit walks, generator matrices, Hermiticity checks, pruning and the norm
 check run at every point.  The scope lives in a
 :class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
@@ -47,10 +50,12 @@ PreconditionError before it builds anything on that basis.
 
 scipy
 -----
-Every exponential here goes through :func:`expm`, which imports
-``scipy.linalg`` on its first call.  Importing the package, ``run --engine
-fastpath`` and ``schmidt`` therefore never load scipy; the first dense gate
-or :meth:`BogoliubovPair.from_generator` does.
+Every exponential of a block of size 2 and up goes through :func:`expm`,
+which imports ``scipy.linalg`` on its first call; a 1 x 1 stack goes to
+``np.exp``.  Importing the package, ``run --engine fastpath``, ``schmidt``
+and a dense run of phase shifters and mode swaps alone therefore never
+load scipy; the first block of size 2 and up (a beam splitter or pairing
+gate that moves a ket) or :meth:`BogoliubovPair.from_generator` does.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ def scan_scope() -> Iterator[_ScanScope]:
 
     The scope's table stands in for the one each gate keeps per call: the
     exponentials of blocks of size 2 and up (1 x 1 stacks go whole to
-    ``expm``, so a diagonal gate shares nothing).  Exact: ``expm``
+    ``np.exp``, so a diagonal gate shares nothing).  Exact: ``expm``
     exponentiates every slice of a stack on its own, so a reused block
     gives the bits a fresh one would.  The scope ends with the block, also
     when it raises; nothing is kept across scopes.
@@ -253,46 +258,57 @@ def _orbit_plan(shapes: list, kets) -> tuple[list[int], list[np.ndarray]]:
 def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonState:
     """exp(i * expr) on the orbits of the state's kets under ``expr``.
 
-    The orbits are concatenated into a basis, and the positions of the
-    orbits of each size form one ``(k, s)`` stack.  A generator none of
-    whose terms moves a ket (every phase shifter) has the trivial plan: the
-    basis is the table's kets and one ``(k, 1)`` stack, with no walk, and
-    its 1 x 1 blocks come from :func:`_diagonal_elements`, with no
-    generator matrix.  Any other generator's matrix is built on the basis
-    and its diagonal blocks are cut out per stack; every entry outside them
-    is exactly 0, because the orbits are closed.  If every term moves a ket
-    (every BS and PA), the 1 x 1 stack holds kets no term reaches: it is
-    dropped, and its amplitudes get ``+ 0.0``, the bits a 1 x 1 identity
-    gave them.  Each stack left is checked Hermitian (``|h_rc - conj(h_cr)|
-    <= _HERM_ATOL``) before any goes to ``expm``, then goes through
-    :func:`_exponentials` and one ``einsum`` tail.
+    A generator none of whose terms moves a ket (every phase shifter) is
+    one pass over the table: each ket is its own orbit, its element comes
+    from :func:`_diagonal_elements`, with no walk or generator matrix, and
+    is checked real (``|h - conj(h)| <= _HERM_ATOL``; a NaN passes on to
+    :func:`~anyonsim.states.prune`, which refuses it).  The ``(k, 1, 1)``
+    stack of ``1j * h`` goes through :func:`_exponentials`, and each
+    amplitude ``a`` becomes ``0j + e * a`` in table order: the bits of an
+    ``einsum`` sum from zero, so a -0.0 part of the product reads +0.0.
+
+    Any other generator's orbits are concatenated into a basis, and the
+    positions of the orbits of each size form one ``(k, s)`` stack.  The
+    generator's matrix is built on the basis and its diagonal blocks are
+    cut out per stack; every entry outside them is exactly 0, because the
+    orbits are closed.  If every term moves a ket (every BS and PA), the
+    1 x 1 stack holds kets no term reaches: it is dropped, and its
+    amplitudes get ``+ 0.0``, the bits a 1 x 1 identity gave them.  Each
+    stack left is checked Hermitian (``|h_rc - conj(h_cr)| <= _HERM_ATOL``)
+    before any is exponentiated, then goes through :func:`_exponentials`
+    and one ``einsum`` tail.  Both paths refuse a basis over
+    :data:`ORBIT_BASIS_MAX` kets with one check.
     """
     if not state.amplitudes:
         return state
     shapes = list(filter(None, map(_term_shape, expr.terms)))  # the terms that act on some ket
-    moves = any(shape[2] for shape in shapes)  # some term flips a mode
-    if not moves:
-        basis, stacks = list(state.amplitudes), [np.arange(len(state.amplitudes))[:, None]]
-    else:
+    if any(shape[2] for shape in shapes):  # some term flips a mode
         basis, stacks = _orbit_plan(shapes, state.amplitudes)
+    else:  # each ket is its own orbit
+        basis, stacks = state.amplitudes, None
     if len(basis) > ORBIT_BASIS_MAX:
         raise PreconditionError(
             f"gate orbit basis has d = {len(basis)} kets, over the dense budget of {ORBIT_BASIS_MAX} kets per gate"
         )
+    if stacks is None:
+        diagonal = _diagonal_elements(state, expr, shapes)
+        for h in diagonal:
+            if abs(h - h.conjugate()) > _HERM_ATOL:
+                raise InvariantBreachError("gate generator is not Hermitian on its orbits")
+        phases = _exponentials(1j * np.array(diagonal, dtype=complex)[:, None, None], None).ravel().tolist()
+        # 0j + e * a is einsum's sum from zero: a -0.0 part of the product reads +0.0
+        return AnyonState(state.m, state.phi, prune({occ: 0j + e * a for (occ, a), e in zip(state.amplitudes.items(), phases)}))
     size = max(idx.shape[1] for idx in stacks)
     if size > ORBIT_BLOCK_MAX:
         raise PreconditionError(f"gate orbit block has s = {size} kets, over the dense budget of {ORBIT_BLOCK_MAX} kets per block")
     vec = np.array([state.amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
-    if moves:
-        h = operator_matrix(expr, state.phi, basis)
-        if all(shape[2] for shape in shapes):  # a 1 x 1 orbit is a ket no term reaches: exp(0) = 1
-            for idx in stacks:
-                if idx.shape[1] == 1:
-                    vec[idx] += 0.0  # a -0.0 part reads +0.0, the bits exponentiating its 0 block gives
-            stacks = [idx for idx in stacks if idx.shape[1] > 1]
-        blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
-    else:
-        blocks = [np.array(_diagonal_elements(state, expr, shapes), dtype=complex)[:, None, None]]
+    h = operator_matrix(expr, state.phi, basis)
+    if all(shape[2] for shape in shapes):  # a 1 x 1 orbit is a ket no term reaches: exp(0) = 1
+        for idx in stacks:
+            if idx.shape[1] == 1:
+                vec[idx] += 0.0  # a -0.0 part reads +0.0, the bits exponentiating its 0 block gives
+        stacks = [idx for idx in stacks if idx.shape[1] > 1]
+    blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in stacks]
     for stack in blocks:
         if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_ATOL:
             raise InvariantBreachError("gate generator is not Hermitian on its orbits")
@@ -308,8 +324,7 @@ def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> l
     of the terms that act on some ket.  The element is summed from ``0j``
     over them in order, through the kernel and a per-call phase table as
     :func:`~anyonsim.operators.operator_matrix` uses, so it has the bits
-    of that matrix's diagonal.  The caller checks each real, with the
-    blocks of every other gate.
+    of that matrix's diagonal.  The caller checks each real, one by one.
     """
     tables = _phase_tables(expr.m, state.phi)
     diagonal = []
@@ -327,15 +342,16 @@ def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
     """``expm`` of each slice of a C-contiguous ``(k, s, s)`` stack, with the bits of a per-slice call.
 
     A 1 x 1 stack (of a generator with a term that moves no ket; a BS or
-    PA sends none) goes whole: scipy takes ``np.exp`` of it elementwise, so
-    a dedupe would save nothing.  Larger blocks are keyed on their bytes in
-    one table, the scope's ``blocks`` or a fresh one per call, and only the
-    blocks it lacks are sent, in first-occurrence order: ``expm``
-    exponentiates every slice on its own, so a block met again gets the
-    bits it got the first time.
+    PA sends none) goes whole to ``np.exp``, which is what scipy's ``expm``
+    returns for any ``(..., 1, 1)`` input: the bits are the same, scipy is
+    not loaded for it, and a dedupe would save nothing.  Larger blocks are
+    keyed on their bytes in one table, the scope's ``blocks`` or a fresh
+    one per call, and only the blocks it lacks are sent to :func:`expm`, in
+    first-occurrence order: ``expm`` exponentiates every slice on its own,
+    so a block met again gets the bits it got the first time.
     """
     if blocks.shape[1] == 1:
-        return expm(blocks)
+        return np.exp(blocks)
     table = {} if scope is None else scope.blocks
     raw, step = blocks.tobytes(), blocks[0].nbytes
     keys = [raw[k * step : (k + 1) * step] for k in range(len(blocks))]

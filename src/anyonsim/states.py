@@ -56,8 +56,12 @@ _REORDER_SIGN = -1.0
 def wrap_phi(phi: float) -> float:
     """Reduce a statistics parameter into the canonical window [0, 2*pi).
 
-    The sector algebras are exactly 2*pi-periodic, so this is lossless.
+    The sector algebras are exactly 2*pi-periodic, so this is lossless.  A
+    non-finite ``phi`` raises PreconditionError naming it; wrapped, it
+    would read NaN.
     """
+    if not math.isfinite(phi):
+        raise PreconditionError(f"statistical parameter must be finite, got {phi}")
     out = phi % TWO_PI
     return 0.0 if out == TWO_PI else out
 

@@ -258,6 +258,19 @@ def test_state_file_non_finite_phi_exits_4(tmp_path, capsys, phi):
     assert main(["run", "--state", state]) == 4
 
 
+@pytest.mark.parametrize("phi", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("source", ["state", "preset"])
+def test_a_non_finite_phi_is_refused_with_the_value_given(tmp_path, capsys, source, phi):
+    if source == "state":
+        data = state_to_json_dict(split_pair(0.0))
+        data["phi"] = phi
+        argv = ["run", "--state", write_json(tmp_path / "s.json", data)]
+    else:
+        argv = ["run", "--preset", "split-pair", f"--phi={phi}"]
+    assert main(argv) == 4
+    assert f"statistical parameter must be finite, got {phi}" in capsys.readouterr().err
+
+
 def test_norm_drift_exits_5(tmp_path, capsys, monkeypatch):
     import anyonsim.optics as optics_mod
 

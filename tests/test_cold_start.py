@@ -1,4 +1,4 @@
-"""Which work loads scipy: only a dense exponential does.
+"""Which work loads scipy: only a dense exponential of a block of size 2 and up does.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=src``, so no module
 imported by the test session can hide an import at start-up.
@@ -26,6 +26,18 @@ IN_FAMILY = {
     ],
 }
 
+# phase shifters and mode swaps only: every dense block is 1 x 1, and np.exp exponentiates it
+PS_FSWAP = {
+    "m": 4,
+    "phi": 0.0,
+    "gates": [
+        {"kind": "PS", "i": 1, "theta": 0.3},
+        {"kind": "FSWAP", "i": 1, "j": 3},
+        {"kind": "PS", "i": 4, "theta": -1.2},
+        {"kind": "FSWAP", "i": 2, "j": 3},
+    ],
+}
+
 REPORT = "import json, sys; print(json.dumps(sorted(name for name in sys.modules if name.startswith('scipy'))))"
 
 
@@ -48,11 +60,13 @@ RUN = "from anyonsim.cli import main\nassert main({argv!r}) == 0"
         "import anyonsim.cli",
         RUN.format(argv=["run", "--preset", "split-pair", "--circuit", "circuit.json", "--engine", "fastpath", "--out", "amps.csv"]),
         RUN.format(argv=["schmidt", "--preset", "two-slater", "--out", "pairs.json"]),
+        RUN.format(argv=["run", "--preset", "split-pair", "--circuit", "ps-fswap.json", "--engine", "dense", "--out", "amps.csv"]),
     ],
-    ids=["import", "run-fastpath", "schmidt"],
+    ids=["import", "run-fastpath", "schmidt", "run-dense-ps-fswap"],
 )
 def test_scipy_stays_unloaded(tmp_path, code):
     (tmp_path / "circuit.json").write_text(json.dumps(IN_FAMILY))
+    (tmp_path / "ps-fswap.json").write_text(json.dumps(PS_FSWAP))
     assert scipy_modules_after(code, tmp_path) == []
 
 

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import anyonsim.optics as optics_mod
 from anyonsim import AnyonState, InvariantBreachError, ps
-from anyonsim.operators import ANNIHILATE, CREATE, LadderTerm, OperatorExpr, operator_matrix
+from anyonsim.operators import ANNIHILATE, CREATE, LadderTerm, OperatorExpr, _term_shape, operator_matrix
 from anyonsim.optics import _apply_orbit_exponential, generator_expr, scan_scope
 from anyonsim.states import prune
 
@@ -99,9 +101,7 @@ def test_a_diagonal_gate_shares_nothing_in_a_scan_scope(rng, monkeypatch, phi):
         inside = [table_bytes(_apply_orbit_exponential(psi, expr).amplitudes) for expr in exprs]
     assert inside == outside == [table_bytes(per_ket_reference(psi, expr)) for expr in exprs]
     assert not scope.blocks  # a diagonal gate keeps no block
-    # each gate's whole (k, 1, 1) stack reaches expm, the repeated gate's again
-    assert [stack.shape for stack in sent] == [(len(psi.amplitudes), 1, 1)] * len(exprs)
-    assert sent[2].tobytes() == sent[0].tobytes()
+    assert sent == []  # no 1 x 1 block reaches expm: each gate's (k, 1, 1) stack goes to np.exp
 
 
 @pytest.mark.parametrize("in_scope", [False, True])
@@ -111,3 +111,52 @@ def test_a_complex_coefficient_number_term_is_not_hermitian(in_scope):
     with scan_scope() if in_scope else contextlib.nullcontext():
         with pytest.raises(InvariantBreachError, match="not Hermitian"):
             _apply_orbit_exponential(psi, expr)
+
+
+def stack_reference(state, expr):
+    """The route a diagonal gate took before its one pass: the whole ``(k, 1, 1)`` stack through scipy's ``expm`` and one ``einsum``."""
+    shapes = list(filter(None, map(_term_shape, expr.terms)))
+    stack = np.array(optics_mod._diagonal_elements(state, expr, shapes), dtype=complex)[:, None, None]
+    vec = np.array(list(state.amplitudes.values()), dtype=complex)
+    vec = np.einsum("kab,kb->ka", expm(1j * stack), vec[:, None])[:, 0]
+    return prune(dict(zip(state.amplitudes, vec.tolist())))
+
+
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """A table at m <= 9 with signed-zero, subnormal and huge parts, and a PS or a weighted number string."""
+    m = draw(st.integers(1, 9))
+    phi = draw(st.sampled_from([0.0, 1.3, math.pi]) | st.floats(0.0, 2 * math.pi, exclude_max=True))
+    occs = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12, unique=True))
+    table = {occ: complex(draw(parts), draw(parts)) for occ in occs}
+    i = draw(st.integers(1, m))
+    if draw(st.booleans()):
+        theta = draw(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324, 1e7]) | st.floats(-4.0, 4.0, allow_nan=False))
+        expr = generator_expr(ps(i, theta), m)
+    else:
+        c = complex(draw(st.floats(-2.0, 2.0, allow_nan=False)), draw(st.floats(-2.0, 2.0, allow_nan=False)))
+        weights = draw(st.dictionaries(st.integers(1, m), st.floats(-4.0, 4.0, allow_nan=False), max_size=3))
+        expr = weighted_number(m, i, c, weights)
+    return AnyonState(m, phi, table), expr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(diagonal_cases())
+def test_a_diagonal_gate_keeps_the_bits_of_its_stack_through_expm_and_einsum(case):
+    state, expr = case
+    got = _apply_orbit_exponential(state, expr).amplitudes
+    assert table_bytes(got) == table_bytes(stack_reference(state, expr))
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_a_nan_element_passes_the_hermiticity_check_and_prune_refuses_it(monkeypatch, bad):
+    psi = AnyonState(4, 1.1, {0b0001: 0.6 + 0.0j, 0b0011: 0.8 + 0.0j})
+    monkeypatch.setattr(optics_mod, "_diagonal_elements", lambda state, expr, shapes: [0.4 + 0.0j, bad])
+    with pytest.raises(InvariantBreachError, match="is not finite"):
+        _apply_orbit_exponential(psi, generator_expr(ps(2, 0.4), psi.m))

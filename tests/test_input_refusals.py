@@ -24,6 +24,7 @@ from anyonsim import (
     run_circuit,
 )
 from anyonsim.optics import ANGLED_KINDS, GATE_KINDS, Circuit, GateElement, generator_expr
+from anyonsim.states import wrap_phi
 
 PSI = AnyonState(4, 1.1, {0b0011: 0.6 + 0.0j, 0b0101: 0.0 + 0.8j})
 
@@ -117,6 +118,12 @@ def test_operator_expressions_over_different_mode_counts_do_not_combine():
         a * b
     with pytest.raises(PreconditionError, match="^operator is over 3 modes, state over 4$"):
         apply_operator_expr(PSI, number(3, 1))
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_wrap_phi_refuses_a_non_finite_value_by_name(phi):
+    with pytest.raises(PreconditionError, match=f"^statistical parameter must be finite, got {phi}$"):
+        wrap_phi(phi)
 
 
 @pytest.mark.parametrize("phi", [-0.1, 2.0 * math.pi, 7.0, math.nan, math.inf])

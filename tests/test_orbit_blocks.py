@@ -85,16 +85,15 @@ def test_exponentials_send_each_distinct_slice_once_in_first_occurrence_order(mo
     sent = spy_on_expm(monkeypatch)
     with scan_scope() if in_scope else contextlib.nullcontext() as scope:
         got = _exponentials(stack, scope)
-        whole = [block.tobytes() for block in stack]
-        if size == 1:  # scipy takes np.exp of a 1 x 1 stack elementwise: it goes whole, in a scope or not
-            assert sent == whole
+        if size == 1:  # scipy's expm is np.exp on a 1 x 1 stack: no 1 x 1 block reaches expm, in a scope or not
+            assert sent == []
         else:
             assert sent == [a.tobytes(), z.tobytes(), (-z).tobytes()]  # -0.0 is a distinct block
         assert got.tobytes() == np.array([expm(block) for block in stack]).tobytes()
         if in_scope:
             sent.clear()
             assert _exponentials(stack, scope).tobytes() == got.tobytes()
-            if size == 1:  # sent whole again: the scope keeps no 1 x 1 block
-                assert sent == whole and not scope.blocks
+            if size == 1:  # still none: the scope keeps no 1 x 1 block
+                assert sent == [] and not scope.blocks
             else:
                 assert sent == []  # every slice is known to the scope

@@ -124,11 +124,8 @@ def test_each_distinct_block_reaches_expm_once_per_scan(tmp_path, monkeypatch, c
     assert main([*argv, "--out", str(tmp_path / "scan.csv")]) == 0
     larger = [block for block in seen if len(block) > 16]  # larger than 1 x 1: one complex128 is 16 bytes
     assert larger and len(larger) == len(set(larger)), f"{len(larger)} slices, {len(set(larger))} distinct"
-    ones = [block for block in seen if len(block) == 16]
-    if case == "split-pair":
-        assert not ones  # its only 1 x 1 orbits are kets the beam splitter leaves alone
-    else:
-        assert len(ones) > len(set(ones))  # each phase shifter's 1 x 1 stack goes whole at every point, repeats included
+    # no 1 x 1 block reaches expm: a beam splitter leaves its fixed kets alone, a phase shifter's stack goes to np.exp
+    assert not [block for block in seen if len(block) == 16]
 
 
 def test_each_scan_gets_its_own_scope(tmp_path, monkeypatch):
