@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from operator import itemgetter
@@ -31,6 +32,7 @@ import numpy as np
 from .checks import run_all
 from .entanglement import (
     SeparabilityReport,
+    check_separability_tol,
     is_separable,
     particle_trace_rdm,
     slater_decompose,
@@ -53,6 +55,8 @@ DEFAULT_PHI_GRID = "0:6.283185307179586:13"
 DEFAULT_THETA_GRID = "0:3.141592653589793:9"
 #: most (phi, theta) points one ``entropy-scan`` may sweep; the default grid has 117
 _GRID_BUDGET = 10**5
+#: a token that starts a negative number or grid (``-1e-3``, ``-inf``, ``-nan``, ``-1:1:3``), which argparse would take for an option
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(x: float) -> str:
@@ -202,7 +206,7 @@ def cmd_entropy_scan(args) -> int:
     of more than ``_GRID_BUDGET`` points raises PreconditionError before
     either axis is built.
     """
-    check_tol("--tol", args.tol)
+    check_separability_tol("--tol", args.tol)
     base = _load_state(args)
     default = {"m": base.m, "gates": [{"kind": "BS", "i": 1, "j": 2, "theta": None}]}
     circuit_data = _load_json(args.circuit) if args.circuit is not None else default
@@ -305,9 +309,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--option -value`` as ``--option=-value`` where ``-value`` starts a negative number or grid.
+
+    argparse reads a token such as ``-1e-3``, ``-inf`` or ``-1:1:3`` as an
+    option, so without this the space form fails with "expected one
+    argument" where the ``=`` form parses.  A token that starts with ``--``
+    is never attached, so ``--phi --circuit c.json`` still lacks a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--" and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except FamilyMismatchError as exc:

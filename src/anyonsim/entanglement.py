@@ -46,6 +46,8 @@ _EIG_CUT = 1e-12
 #: between them: it splits off the kernel of the pair normal form, joins
 #: coefficients into degenerate clusters, and bounds the block check
 _Z_FLOOR = 1e-8
+#: the smallest ``tol`` :func:`is_separable` takes; occupations carry rounding near 1e-15
+SEPARABILITY_TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -434,26 +436,44 @@ class SeparabilityReport:
     slater_rank: int | None
 
 
+def check_separability_tol(name: str, tol: float) -> None:
+    """Raise PreconditionError naming ``tol`` unless it is a tolerance :func:`is_separable` can decide with.
+
+    It must pass :func:`~anyonsim.states.check_tol` (finite and
+    nonnegative) and lie in ``[SEPARABILITY_TOL_FLOOR, 1)``: below the
+    floor the rounding of the occupations alone reads as entanglement, and
+    at 1 or above every occupation in [0, 1] lies within ``tol`` of both 0
+    and 1.
+    """
+    check_tol(name, tol)
+    if not SEPARABILITY_TOL_FLOOR <= tol < 1.0:
+        raise PreconditionError(f"{name} must lie in [{SEPARABILITY_TOL_FLOOR:g}, 1) to decide separability, got {tol}")
+
+
 def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     """Decide whether a definite-N state is a dressed Fock configuration.
 
-    True iff every occupation eigenvalue of the minimal-entropy mode
-    representation sits within ``tol`` of 0 or 1.  For two particles the
-    verdict is cross-checked against the pair normal form (a single
-    coefficient iff separable); disagreement raises, since the two
-    criteria are equivalent.  The reported Slater rank is the one
-    cross-checked: the occupations of the pair modes are z_k^2, so the
-    state is separable iff sum_{k>=2} z_k^2 <= ``tol``, and the rank is
-    taken with ``rank_tol`` = sqrt(``tol``) on that tail, which makes it 1
-    exactly then.  A ``tol`` that is negative or not finite raises
-    PreconditionError, and so does an input with |psi|^2 off 1 by more
-    than ``NORM_ATOL``, before either verdict is computed.
+    True iff the N largest occupation eigenvalues of the minimal-entropy
+    mode representation lie within ``tol`` of 1 and the rest within
+    ``tol`` of 0.  For two particles the verdict is cross-checked against
+    the pair normal form (a single coefficient iff separable);
+    disagreement raises, since the two criteria are equivalent.  The
+    reported Slater rank is the one cross-checked: the occupations of the
+    pair modes are z_k^2, each twice, and sum_k z_k^2 = 1, so the state is
+    separable iff sum_{k>=2} z_k^2 <= ``tol``, and the rank is taken with
+    ``rank_tol`` = sqrt(``tol``) on that tail, which makes it 1 exactly
+    then.  A ``tol`` outside ``[SEPARABILITY_TOL_FLOOR, 1)`` or not finite
+    raises PreconditionError (:func:`check_separability_tol`), and so does
+    an input with |psi|^2 off 1 by more than ``NORM_ATOL``, before either
+    verdict is computed.
     """
-    check_tol("tol", tol)
+    check_separability_tol("tol", tol)
     modes = minimal_entropy_modes(state)
-    sep = bool(np.all(np.abs(modes.occupations - np.round(modes.occupations)) <= tol))
+    n = state.particle_number()
+    occ = modes.occupations  # descending
+    sep = bool(np.all(np.abs(occ[:n] - 1.0) <= tol) and np.all(occ[n:] <= tol))
     rank: int | None = None
-    if state.particle_number() == 2:
+    if n == 2:
         rank = slater_decompose(state, rank_tol=float(np.sqrt(tol))).rank
         if (rank == 1) != sep:
             raise InvariantBreachError(f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}")

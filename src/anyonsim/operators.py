@@ -8,10 +8,14 @@ statistics transmutation purely mechanical: commuting a diagonal rightward
 through a ladder factor only shifts the weight seen at that factor's mode
 by one unit, which contributes a scalar phase.
 
-Every action of a term on a basis ket goes through one kernel, :func:`_act`,
-and every term has one form, :func:`_term_shape`: bit masks for which kets
-it acts on, the ket it sends each to and per factor the modes below it,
-with its coefficient and weights.  The orbit walk reads only the masks.
+Every action of an expression's term on a basis ket goes through one
+kernel, :func:`_act`, and every term has one form, :func:`_term_shape`: bit
+masks for which kets it acts on, the ket it sends each to and per factor
+the modes below it, with its coefficient and weights.  The dense engine's
+orbit walk, :func:`anyonsim.optics._orbit_plan`, reads only the masks.  The
+single ladder operators :func:`~anyonsim.states.apply_create` and
+:func:`~anyonsim.states.apply_annihilate` keep their own loops and do not
+go through :func:`_act`.
 A factor that crosses ``c`` occupied modes contributes the reordering phase
 ``-exp(-i*phi)`` to the power ``c`` (conjugated for an annihilator), with
 ``0 <= c < m``; each caller of :func:`_act` builds a table of
@@ -258,30 +262,6 @@ def apply_operator_expr(state: AnyonState, expr: OperatorExpr) -> AnyonState:
             if res is not None:
                 out[res[0]] = out.get(res[0], 0.0) + res[1]
     return AnyonState(state.m, state.phi, prune(out))
-
-
-def _orbits(shapes: list, kets: Iterable[int]) -> list[list[int]]:
-    """The orbits of ``kets`` under the terms with :func:`_term_shape` ``shapes``, in order of first reach.
-
-    An orbit is every ket a starting ket reaches by repeated action of the
-    terms; a ket an earlier orbit holds starts none.  Only the masks are
-    read, so the walk computes no phase.
-    """
-    moves = [shape[:3] for shape in shapes if shape is not None]
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for start in kets:
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit = [start]
-        for occ in orbit:  # the orbit grows while it is walked
-            for mask, need, flip in moves:
-                if occ & mask == need and occ ^ flip not in seen:
-                    seen.add(occ ^ flip)
-                    orbit.append(occ ^ flip)
-        out.append(orbit)
-    return out
 
 
 def operator_matrix(expr: OperatorExpr, phi: float, basis: Iterable[int]) -> np.ndarray:

@@ -31,16 +31,16 @@ at phi != 0 the mapped action is the defining one.
 
 Sharing within a scan
 ---------------------
-A :func:`scan_scope` (``entropy-scan`` opens one around its grid) only
-supplies the table of block exponentials that every dense gate keeps per
-call, so the path is the same in and out of a scope.  A block of size 2
-and up is keyed on its exact ``(s, s)`` bytes: ``expm`` exponentiates
-each slice of a stack on its own, so a block met again gets the bits it
-got the first time.  A 1 x 1 stack goes whole to ``np.exp``, the value
-scipy's ``expm`` returns for it, so a phase shifter never touches the
-scope.
-Orbit walks, generator matrices, Hermiticity checks, pruning and the norm
-check run at every point.  The scope lives in a
+A :func:`scan_scope` (``entropy-scan`` opens one around its grid) is one
+dict from the exact ``(s, s)`` bytes of a block of size 2 and up to its
+exponential.  :func:`_exponentials` reads the open one in place of the
+table it otherwise keeps per call, so the path is the same in and out of
+a scope: ``expm`` exponentiates each slice of a stack on its own, so a
+block met again gets the bits it got the first time.  A 1 x 1 stack goes
+whole to ``np.exp``, the value scipy's ``expm`` returns for it, before
+any table is read, so a phase shifter never touches the scope.  Orbit
+walks (:func:`_orbit_plan`), generator matrices, Hermiticity checks,
+pruning and the norm check run at every point.  The dict lives in a
 :class:`contextvars.ContextVar`; it is reset when the ``with`` block ends
 or raises, so nothing is kept across commands.
 
@@ -76,7 +76,6 @@ from .operators import (
     OperatorExpr,
     hopping,
     _act,
-    _orbits,
     _phase_tables,
     _term_shape,
     number,
@@ -110,32 +109,25 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-class _ScanScope:
-    """The block table the gates of one scan share, in place of their per-call ones; see :func:`scan_scope`."""
-
-    def __init__(self) -> None:
-        #: exact bytes of an (s, s) block with s >= 2 -> its exponential
-        self.blocks: dict[bytes, np.ndarray] = {}
-
-
-_SCAN_SCOPE: ContextVar[_ScanScope | None] = ContextVar("anyonsim_scan_scope", default=None)
+#: the open scan's block table: exact bytes of an (s, s) block with s >= 2 -> its exponential; None outside a scan
+_SCAN_SCOPE: ContextVar[dict[bytes, np.ndarray] | None] = ContextVar("anyonsim_scan_scope", default=None)
 
 
 @contextmanager
-def scan_scope() -> Iterator[_ScanScope]:
-    """Share block exponentials among the dense gates run inside the ``with`` block.
+def scan_scope() -> Iterator[dict[bytes, np.ndarray]]:
+    """Share block exponentials among the dense gates run inside the ``with`` block; yields the shared table.
 
-    The scope's table stands in for the one each gate keeps per call: the
+    The table stands in for the one each gate keeps per call: the
     exponentials of blocks of size 2 and up (1 x 1 stacks go whole to
     ``np.exp``, so a diagonal gate shares nothing).  Exact: ``expm``
     exponentiates every slice of a stack on its own, so a reused block
     gives the bits a fresh one would.  The scope ends with the block, also
     when it raises; nothing is kept across scopes.
     """
-    scope = _ScanScope()
-    token = _SCAN_SCOPE.set(scope)
+    blocks: dict[bytes, np.ndarray] = {}
+    token = _SCAN_SCOPE.set(blocks)
     try:
-        yield scope
+        yield blocks
     finally:
         _SCAN_SCOPE.reset(token)
 
@@ -242,14 +234,27 @@ def generator_expr(gate: GateElement, m: int) -> OperatorExpr:
 
 
 def _orbit_plan(shapes: list, kets) -> tuple[list[int], list[np.ndarray]]:
-    """The concatenated orbits of ``kets`` and, per orbit size, an (orbits, size) array of their positions.
+    """The orbits of ``kets`` concatenated in order of first reach and, per orbit size, an (orbits, size) array of their positions.
 
-    ``shapes`` holds each term's :func:`~anyonsim.operators._term_shape`:
-    only which kets each term reaches enters, never a phase or a coefficient.
+    An orbit is every ket a starting ket reaches by repeated action of the
+    terms whose :func:`~anyonsim.operators._term_shape` are ``shapes``; a
+    ket an earlier orbit holds starts none.  Only the masks are read, so
+    the walk computes no phase, and a ``None`` shape moves nothing.
     """
+    moves = [shape[:3] for shape in shapes if shape is not None]
+    seen: set[int] = set()
     basis: list[int] = []
     starts: dict[int, list[int]] = {}  # orbit size -> positions in basis where such orbits start
-    for orbit in _orbits(shapes, kets):
+    for start in kets:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for occ in orbit:  # the orbit grows while it is walked
+            for mask, need, flip in moves:
+                if occ & mask == need and occ ^ flip not in seen:
+                    seen.add(occ ^ flip)
+                    orbit.append(occ ^ flip)
         starts.setdefault(len(orbit), []).append(len(basis))
         basis.extend(orbit)
     return basis, [np.array(first)[:, None] + np.arange(size) for size, first in starts.items()]
@@ -295,7 +300,7 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
         for h in diagonal:
             if abs(h - h.conjugate()) > _HERM_ATOL:
                 raise InvariantBreachError("gate generator is not Hermitian on its orbits")
-        phases = _exponentials(1j * np.array(diagonal, dtype=complex)[:, None, None], None).ravel().tolist()
+        phases = _exponentials(1j * np.array(diagonal, dtype=complex)[:, None, None]).ravel().tolist()
         # 0j + e * a is einsum's sum from zero: a -0.0 part of the product reads +0.0
         return AnyonState(state.m, state.phi, prune({occ: 0j + e * a for (occ, a), e in zip(state.amplitudes.items(), phases)}))
     size = max(idx.shape[1] for idx in stacks)
@@ -313,7 +318,7 @@ def _apply_orbit_exponential(state: AnyonState, expr: OperatorExpr) -> AnyonStat
         if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > _HERM_ATOL:
             raise InvariantBreachError("gate generator is not Hermitian on its orbits")
     for idx, stack in zip(stacks, blocks):
-        vec[idx] = np.einsum("kab,kb->ka", _exponentials(1j * stack, _SCAN_SCOPE.get()), vec[idx])
+        vec[idx] = np.einsum("kab,kb->ka", _exponentials(1j * stack), vec[idx])
     return AnyonState(state.m, state.phi, prune(dict(zip(basis, vec.tolist()))))
 
 
@@ -338,21 +343,24 @@ def _diagonal_elements(state: AnyonState, expr: OperatorExpr, shapes: list) -> l
     return diagonal
 
 
-def _exponentials(blocks: np.ndarray, scope: _ScanScope | None) -> np.ndarray:
+def _exponentials(blocks: np.ndarray) -> np.ndarray:
     """``expm`` of each slice of a C-contiguous ``(k, s, s)`` stack, with the bits of a per-slice call.
 
     A 1 x 1 stack (of a generator with a term that moves no ket; a BS or
     PA sends none) goes whole to ``np.exp``, which is what scipy's ``expm``
     returns for any ``(..., 1, 1)`` input: the bits are the same, scipy is
     not loaded for it, and a dedupe would save nothing.  Larger blocks are
-    keyed on their bytes in one table, the scope's ``blocks`` or a fresh
-    one per call, and only the blocks it lacks are sent to :func:`expm`, in
-    first-occurrence order: ``expm`` exponentiates every slice on its own,
-    so a block met again gets the bits it got the first time.
+    keyed on their bytes in one table, the open :func:`scan_scope`'s or a
+    fresh one per call, and only the blocks it lacks are sent to
+    :func:`expm`, in first-occurrence order: ``expm`` exponentiates every
+    slice on its own, so a block met again gets the bits it got the first
+    time.
     """
     if blocks.shape[1] == 1:
         return np.exp(blocks)
-    table = {} if scope is None else scope.blocks
+    table = _SCAN_SCOPE.get()
+    if table is None:
+        table = {}
     raw, step = blocks.tobytes(), blocks[0].nbytes
     keys = [raw[k * step : (k + 1) * step] for k in range(len(blocks))]
     fresh: dict[bytes, int] = {}  # each block the table lacks -> the first slice holding it

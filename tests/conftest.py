@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from anyonsim import AnyonState, OperatorExpr
-from anyonsim.operators import _orbits, _term_shape
+from anyonsim.operators import _term_shape
+from anyonsim.optics import _orbit_plan
 from anyonsim.states import reorder_phase
 
 
@@ -24,7 +25,9 @@ def orbits(expr: OperatorExpr, phi: float, kets: Iterable[int]) -> list[list[int
     under ``expr``, so ``operator_matrix`` on their concatenation is
     block-diagonal (for a Hermitian ``expr``), one block per orbit.
     """
-    return _orbits(list(map(_term_shape, expr.terms)), kets)
+    basis, stacks = _orbit_plan(list(map(_term_shape, expr.terms)), kets)
+    starts = sorted((int(idx[0]), len(idx)) for stack in stacks for idx in stack)
+    return [basis[start : start + size] for start, size in starts]
 
 
 def n_left(occ: int, i: int) -> int:

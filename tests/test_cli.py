@@ -259,16 +259,50 @@ def test_state_file_non_finite_phi_exits_4(tmp_path, capsys, phi):
 
 
 @pytest.mark.parametrize("phi", [float("inf"), float("-inf"), float("nan")])
-@pytest.mark.parametrize("source", ["state", "preset"])
+@pytest.mark.parametrize("source", ["state", "preset", "preset-spaced"])
 def test_a_non_finite_phi_is_refused_with_the_value_given(tmp_path, capsys, source, phi):
     if source == "state":
         data = state_to_json_dict(split_pair(0.0))
         data["phi"] = phi
         argv = ["run", "--state", write_json(tmp_path / "s.json", data)]
-    else:
+    elif source == "preset":
         argv = ["run", "--preset", "split-pair", f"--phi={phi}"]
+    else:
+        argv = ["run", "--preset", "split-pair", "--phi", str(phi)]
     assert main(argv) == 4
     assert f"statistical parameter must be finite, got {phi}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--phi", "-1e-3"),
+        ("--phi", "-Infinity"),
+        ("--phi", "-.5"),
+        ("--phi-grid", "-1:1:3"),
+        ("--theta-grid", "-1.5:1.5:3"),
+        ("--tol", "-1e-3"),
+        ("--tol", "-nan"),
+    ],
+)
+def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(tmp_path, capsys, option, value):
+    command = ["run", "--engine", "both"] if option == "--phi" else ["entropy-scan"]
+    results = []
+    for form in ([option, value], [f"{option}={value}"]):
+        out = tmp_path / "out.csv"
+        code = main([*command, "--preset", "split-pair", *form, "--out", str(out)])
+        results.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 4)
+
+
+def test_an_option_after_a_numeric_option_is_not_its_value(tmp_path, capsys):
+    circ = write_json(tmp_path / "c.json", circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.4),))))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--preset", "split-pair", "--phi", "--circuit", circ])
+    assert exit_info.value.code == 2
+    assert "argument --phi: expected one argument" in capsys.readouterr().err
 
 
 def test_norm_drift_exits_5(tmp_path, capsys, monkeypatch):

@@ -79,7 +79,7 @@ def test_a_diagonal_gate_builds_no_matrix_and_walks_no_orbits(rng, monkeypatch):
         raise AssertionError("a diagonal gate reached the orbit engine")
 
     monkeypatch.setattr(optics_mod, "operator_matrix", refuse)
-    monkeypatch.setattr(optics_mod, "_orbits", refuse)
+    monkeypatch.setattr(optics_mod, "_orbit_plan", refuse)
     psi = full_state(rng, 5, 1.1)
     _apply_orbit_exponential(psi, generator_expr(ps(3, 0.4), psi.m))
 
@@ -100,7 +100,7 @@ def test_a_diagonal_gate_shares_nothing_in_a_scan_scope(rng, monkeypatch, phi):
     with scan_scope() as scope:
         inside = [table_bytes(_apply_orbit_exponential(psi, expr).amplitudes) for expr in exprs]
     assert inside == outside == [table_bytes(per_ket_reference(psi, expr)) for expr in exprs]
-    assert not scope.blocks  # a diagonal gate keeps no block
+    assert not scope  # a diagonal gate keeps no block
     assert sent == []  # no 1 x 1 block reaches expm: each gate's (k, 1, 1) stack goes to np.exp
 
 

@@ -20,7 +20,7 @@ from anyonsim import (
 )
 from anyonsim import fastpath
 from anyonsim.cli import main
-from anyonsim.entanglement import DensityMatrix, is_separable, slater_decompose, von_neumann_entropy
+from anyonsim.entanglement import SEPARABILITY_TOL_FLOOR, DensityMatrix, is_separable, slater_decompose, von_neumann_entropy
 from anyonsim.errors import PreconditionError
 from anyonsim.states import prune
 
@@ -114,7 +114,8 @@ def test_separability_tolerances_must_be_finite_and_nonnegative(tol):
         slater_decompose(state, rank_tol=tol)
     with pytest.raises(PreconditionError, match="tol must be finite"):
         is_separable(state, tol=tol)
-    assert is_separable(state, tol=0.0).slater_rank == slater_decompose(state, rank_tol=0.0).rank == 2
+    # the smallest tol is_separable takes is its rounding floor; slater_decompose takes 0
+    assert is_separable(state, tol=SEPARABILITY_TOL_FLOOR).slater_rank == slater_decompose(state, rank_tol=0.0).rank == 2
 
 
 SQUARED_NORM_OVERFLOWS = {

@@ -84,7 +84,7 @@ def test_exponentials_send_each_distinct_slice_once_in_first_occurrence_order(mo
     stack = np.stack([a, z, a, -z, z])
     sent = spy_on_expm(monkeypatch)
     with scan_scope() if in_scope else contextlib.nullcontext() as scope:
-        got = _exponentials(stack, scope)
+        got = _exponentials(stack)
         if size == 1:  # scipy's expm is np.exp on a 1 x 1 stack: no 1 x 1 block reaches expm, in a scope or not
             assert sent == []
         else:
@@ -92,8 +92,8 @@ def test_exponentials_send_each_distinct_slice_once_in_first_occurrence_order(mo
         assert got.tobytes() == np.array([expm(block) for block in stack]).tobytes()
         if in_scope:
             sent.clear()
-            assert _exponentials(stack, scope).tobytes() == got.tobytes()
+            assert _exponentials(stack).tobytes() == got.tobytes()
             if size == 1:  # still none: the scope keeps no 1 x 1 block
-                assert sent == [] and not scope.blocks
+                assert sent == [] and not scope
             else:
                 assert sent == []  # every slice is known to the scope
