@@ -46,7 +46,7 @@ def check_exchange_relations(m_values=(1, 2, 3, 4), phi_values=DEFAULT_PHI_GRID,
                     for j in range(1, m + 1):
                         eps = _epsilon(i, j)
                         a_i, adag_j = annihilation(m, i), creation(m, j)
-                        a_j, adag_i = annihilation(m, j), creation(m, i)
+                        a_j = annihilation(m, j)
                         lhs = apply_operator_expr(
                             ket,
                             a_i * adag_j + (adag_j * a_i).scaled(complex(np.exp(-1j * phi * eps))),

@@ -11,6 +11,9 @@ Exit codes: 0 success, 1 a ``check`` suite failed, 2 malformed input,
 3 engine/family mismatch, 4 precondition failure, 5 internal invariant
 breach.
 
+A value that starts with one ``-`` may follow its long option after a space
+(``--phi -inf``, ``--out -x.csv``): it reads as if written after ``=``.
+
 ``run --engine fastpath``, ``schmidt`` and a dense run of phase shifters and
 mode swaps alone never load scipy; the first dense exponential of a block of
 size 2 and up does (see :mod:`anyonsim.optics`).
@@ -22,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from contextlib import contextmanager
 from operator import itemgetter
@@ -55,8 +57,6 @@ DEFAULT_PHI_GRID = "0:6.283185307179586:13"
 DEFAULT_THETA_GRID = "0:3.141592653589793:9"
 #: most (phi, theta) points one ``entropy-scan`` may sweep; the default grid has 117
 _GRID_BUDGET = 10**5
-#: a token that starts a negative number or grid (``-1e-3``, ``-inf``, ``-nan``, ``-1:1:3``), which argparse would take for an option
-_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(x: float) -> str:
@@ -310,16 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """``--option -value`` as ``--option=-value`` where ``-value`` starts a negative number or grid.
+    """``--option -value`` as ``--option=-value`` where ``-value`` starts with exactly one ``-`` and is not ``-h``.
 
-    argparse reads a token such as ``-1e-3``, ``-inf`` or ``-1:1:3`` as an
+    argparse reads a token such as ``-1e-3``, ``-inf`` or ``-x.csv`` as an
     option, so without this the space form fails with "expected one
     argument" where the ``=`` form parses.  A token that starts with ``--``
-    is never attached, so ``--phi --circuit c.json`` still lacks a value.
+    or is ``-h`` is never attached, so ``--phi --circuit c.json`` and
+    ``--preset -h`` still lack a value; ``check --full -x`` fails as ``--full=-x``.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--" and _NEGATIVE_VALUE.match(token):
+        one_dash = token.startswith("-") and not token.startswith("--") and token != "-h"
+        if one_dash and out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--":
             out[-1] += "=" + token
         else:
             out.append(token)

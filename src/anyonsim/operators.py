@@ -6,7 +6,8 @@ the diagonal number-string factor acting first (rightmost).  Keeping every
 term in this trailing-diagonal canonical form makes products, adjoints and
 statistics transmutation purely mechanical: commuting a diagonal rightward
 through a ladder factor only shifts the weight seen at that factor's mode
-by one unit, which contributes a scalar phase.
+by one unit, which contributes a scalar phase.  That push is written once,
+in :func:`term_product`; :func:`term_adjoint` is it on the flipped factors.
 
 Every action of an expression's term on a basis ket goes through one
 kernel, :func:`_act`, and every term has one form, :func:`_term_shape`: bit
@@ -87,15 +88,10 @@ def term_product(t1: LadderTerm, t2: LadderTerm) -> LadderTerm:
 
 
 def term_adjoint(t: LadderTerm) -> LadderTerm:
-    factors_dag = tuple((mode, _FLIP[kind]) for mode, kind in reversed(t.factors))
-    coeff = t.coefficient.conjugate() if isinstance(t.coefficient, complex) else complex(t.coefficient).conjugate()
-    # the negated diagonal starts on the left; push it through the flipped factors
-    for mode, kind in factors_dag:
-        w = -t.weights.get(mode, 0.0)
-        if w:
-            coeff *= cmath.exp(1j * w) if kind == CREATE else cmath.exp(-1j * w)
-    weights = {mode: -w for mode, w in t.weights.items()}
-    return LadderTerm(coeff, factors_dag, _clean_weights(weights))
+    """The adjoint: :func:`term_product` of the negated diagonal with the flipped, reversed factors."""
+    flipped = tuple((mode, _FLIP[kind]) for mode, kind in reversed(t.factors))
+    negated = {mode: -w for mode, w in t.weights.items()}
+    return term_product(LadderTerm(complex(t.coefficient).conjugate(), (), negated), LadderTerm(1.0 + 0.0j, flipped))
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,7 @@ class OperatorExpr:
         if m is not self.m:  # an integer type such as np.int64, stored as int
             object.__setattr__(self, "m", m)
         for t in self.terms:  # LadderTerm checked each mode is an index
-            for mode, _ in t.factors:
-                if mode > m:
-                    raise PreconditionError(f"mode index {mode} out of range 1..{m}")
-            for mode in t.weights:
+            for mode in [mode for mode, _ in t.factors] + list(t.weights):
                 if mode > m:
                     raise PreconditionError(f"mode index {mode} out of range 1..{m}")
 

@@ -569,14 +569,20 @@ class BogoliubovPair:
 
 
 def _quadratic_expr(m: int, a: np.ndarray, b: np.ndarray) -> OperatorExpr:
+    """``sum a_kl a+_k a_l + sum_{k<l} (c_kl a+_k a+_l + h.c.)`` with ``c = (b - b^T) / 2``: each pairing operator once.
+
+    ``c_kl`` is the ``(k, l)`` and ``(l, k)`` halves of ``(1/2) sum b_kl a+_k a+_l`` added.  The generator acts at
+    phi = 0, where ``a+_l a+_k = -a+_k a+_l`` and every phase is exactly +-1, so the sum keeps the bits of the halves.
+    """
     terms: list[LadderTerm] = []
     for k in range(m):
         for l in range(m):
             if abs(a[k, l]) > 1e-15:
                 terms.append(LadderTerm(complex(a[k, l]), ((k + 1, CREATE), (l + 1, ANNIHILATE))))
-            if abs(b[k, l]) > 1e-15:
-                terms.append(LadderTerm(0.5 * complex(b[k, l]), ((k + 1, CREATE), (l + 1, CREATE))))
-                terms.append(LadderTerm(0.5 * complex(b[k, l]).conjugate(), ((l + 1, ANNIHILATE), (k + 1, ANNIHILATE))))
+            c = 0.5 * complex(b[k, l] - b[l, k])
+            if k < l and abs(c) > 1e-15:
+                terms.append(LadderTerm(c, ((k + 1, CREATE), (l + 1, CREATE))))
+                terms.append(LadderTerm(c.conjugate(), ((l + 1, ANNIHILATE), (k + 1, ANNIHILATE))))
     return OperatorExpr(m, tuple(terms))
 
 

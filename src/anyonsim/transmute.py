@@ -2,8 +2,9 @@
 
 The maps act on operators as *-algebra homomorphisms: the image of an
 annihilation operator for mode i is the same ladder factor dressed with a
-diagonal number string over the modes below i, and creation operators
-receive the formal adjoint.  On states the maps act trivially on the
+diagonal number string over the modes below i.  Creation images are not
+written out: each is :func:`~anyonsim.operators.term_adjoint` of the
+annihilator's image.  On states the maps act trivially on the
 amplitude table (Fock amplitudes are sector-invariant); only the phi tag
 changes.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import LadderTerm, OperatorExpr, ANNIHILATE, CREATE, term_product
+from .operators import LadderTerm, OperatorExpr, ANNIHILATE, term_adjoint, term_product
 from .states import AnyonState, check_sector
 
 # Dressing sign: image of a_i under (phi1 -> phi2) carries
@@ -45,13 +46,9 @@ class TransmutationMap:
 
 
 def _factor_image(mode: int, kind: str, delta: float) -> LadderTerm:
-    weights = {k: _TRANSMUTE_SIGN * delta for k in range(1, mode)}
-    if kind == ANNIHILATE:
-        # a_i -> a_i * exp(i * s * delta * sum_{k<i} n_k)
-        return LadderTerm(1.0 + 0.0j, ((mode, ANNIHILATE),), weights)
-    # creation image is the formal adjoint; the left-sided string commutes
-    # through a+_i without a scalar (its weights exclude mode i)
-    return LadderTerm(1.0 + 0.0j, ((mode, CREATE),), {k: -w for k, w in weights.items()})
+    # a_i -> a_i * exp(i * s * delta * sum_{k<i} n_k); a+_i goes to the adjoint of that image
+    image = LadderTerm(1.0 + 0.0j, ((mode, ANNIHILATE),), {k: _TRANSMUTE_SIGN * delta for k in range(1, mode)})
+    return image if kind == ANNIHILATE else term_adjoint(image)
 
 
 def transmute_operator(expr: OperatorExpr, tmap: TransmutationMap) -> OperatorExpr:

@@ -305,6 +305,43 @@ def test_an_option_after_a_numeric_option_is_not_its_value(tmp_path, capsys):
     assert "argument --phi: expected one argument" in capsys.readouterr().err
 
 
+def exit_code(argv):
+    """``main(argv)``, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "option, value, rest",
+    [
+        ("--out", "-x.csv", ["run", "--preset", "split-pair"]),
+        ("--state", "-s.json", ["run", "--out=-x.csv"]),
+        ("--circuit", "-c.json", ["run", "--preset", "split-pair", "--out=-x.csv"]),
+    ],
+)
+def test_a_path_that_starts_with_a_dash_reads_the_same_after_a_space(tmp_path, monkeypatch, capsys, option, value, rest):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "-s.json", state_to_json_dict(split_pair(0.7)))
+    write_json(tmp_path / "-c.json", circuit_to_json_dict(Circuit(4, 0.0, (bs(1, 2, 0.4), pa(2, 3, 0.3)))))
+    results = []
+    for form in ([option, value], [f"{option}={value}"]):
+        code = exit_code([*rest, *form])
+        out = tmp_path / "-x.csv"
+        results.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][2].startswith(b"occ,re,im\n")
+
+
+def test_a_help_flag_or_a_value_after_a_flag_is_not_joined(capsys):
+    assert exit_code(["run", "--preset", "-h"]) == 2
+    assert "argument --preset: expected one argument" in capsys.readouterr().err
+    assert exit_code(["check", "--full", "-x"]) == 2
+    assert "argument --full: ignored explicit argument '-x'" in capsys.readouterr().err
+
+
 def test_norm_drift_exits_5(tmp_path, capsys, monkeypatch):
     import anyonsim.optics as optics_mod
 

@@ -73,6 +73,16 @@ def test_transmuted_operator_at_phi_has_the_fermionic_matrix_of_the_original(rng
         assert np.abs(reference_matrix(image, phi) - reference_matrix(expr, 0.0)).max() < 1e-12, (expr, phi)
 
 
+def test_the_adjoint_has_the_conjugate_transpose_reference_matrix(rng):
+    for trial in range(40):
+        m = 2 + trial % 4
+        expr = random_expr(rng, m)
+        for phi in PHIS:
+            for op in (expr, transmute_operator(expr, TransmutationMap(0.0, phi))):
+                got = reference_matrix(op.adjoint(), phi)
+                assert np.abs(got - reference_matrix(op, phi).conj().T).max() < 1e-12, (op, phi)
+
+
 def test_operator_action_matches_the_reference_matrix_on_basis_kets(rng):
     for trial in range(40):
         m = 2 + trial % 4

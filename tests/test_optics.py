@@ -25,6 +25,8 @@ from anyonsim import (
     run_circuit,
     vacuum,
 )
+from anyonsim.operators import ANNIHILATE, CREATE, LadderTerm, OperatorExpr, operator_matrix
+from anyonsim.optics import _quadratic_expr
 from anyonsim.presets import split_pair, split_pair_circuit
 from conftest import random_state, table_diff
 
@@ -275,6 +277,23 @@ def test_bogoliubov_generator_matches_pa_gate(rng):
         got = apply_induced_bogoliubov(psi, pair)
         ref = apply_gate(psi, pa(1, 2, theta))
         assert table_diff(got, ref) < 1e-10
+
+
+def test_the_pairing_generator_writes_each_pair_once_with_the_matrix_of_both_halves(rng):
+    for m in range(2, 7):
+        a0, b0 = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for _ in range(2))
+        a = a0 + a0.conj().T
+        b = b0 - b0.T + 2e-13 * (rng.random((m, m)) - 0.5)  # antisymmetric within from_generator's 1e-12
+        expr = _quadratic_expr(m, a, b)
+        assert len(expr.terms) == m * m + m * (m - 1)
+        halves = [LadderTerm(complex(a[k, l]), ((k + 1, CREATE), (l + 1, ANNIHILATE))) for k in range(m) for l in range(m)]
+        for k in range(m):
+            for l in range(m):
+                halves.append(LadderTerm(0.5 * complex(b[k, l]), ((k + 1, CREATE), (l + 1, CREATE))))
+                halves.append(LadderTerm(0.5 * complex(b[k, l]).conjugate(), ((l + 1, ANNIHILATE), (k + 1, ANNIHILATE))))
+        basis = range(1 << m)
+        got = operator_matrix(expr, 0.0, basis)
+        assert got.tobytes() == operator_matrix(OperatorExpr(m, tuple(halves)), 0.0, basis).tobytes()
 
 
 def test_bogoliubov_invariant_violation_rejected():
