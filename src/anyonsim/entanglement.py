@@ -64,7 +64,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise InvariantBreachError("density matrix must be square")
         # each test is written so that NaN fails it
         if not np.abs(mat - mat.conj().T).max() <= _HERM_ATOL:
@@ -91,12 +91,15 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Spectral entropy in bits; tiny negative eigenvalues are clamped to zero.
 
     A :class:`DensityMatrix` is already validated and brings its spectrum;
-    a raw array is checked for Hermiticity and diagonalized here.
+    a raw array is checked to be one square matrix with at least one row
+    and Hermitian, and diagonalized here.
     """
     if isinstance(rho, DensityMatrix):
         lam = rho.spectrum
     else:
         mat = np.asarray(rho, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise PreconditionError(f"entropy requires one square matrix with at least one row, got shape {mat.shape}")
         if not np.abs(mat - mat.conj().T).max() <= _HERM_ATOL:  # NaN fails too
             raise PreconditionError("entropy requires a Hermitian matrix")
         lam = np.linalg.eigvalsh(mat)
@@ -462,10 +465,14 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     pair modes are z_k^2, each twice, and sum_k z_k^2 = 1, so the state is
     separable iff sum_{k>=2} z_k^2 <= ``tol``, and the rank is taken with
     ``rank_tol`` = sqrt(``tol``) on that tail, which makes it 1 exactly
-    then.  A ``tol`` outside ``[SEPARABILITY_TOL_FLOOR, 1)`` or not finite
-    raises PreconditionError (:func:`check_separability_tol`), and so does
-    an input with |psi|^2 off 1 by more than ``NORM_ATOL``, before either
-    verdict is computed.
+    then.  A tie, where that tail lies within ``SEPARABILITY_TOL_FLOOR``
+    (the rounding level of the occupations) of ``tol``, may round the two
+    rules to opposite sides of the boundary; a tie reports the pair form's
+    verdict, separable iff rank 1, and only a disagreement off a tie
+    raises.  A ``tol`` outside ``[SEPARABILITY_TOL_FLOOR, 1)`` or not
+    finite raises PreconditionError (:func:`check_separability_tol`), and
+    so does an input with |psi|^2 off 1 by more than ``NORM_ATOL``, before
+    either verdict is computed.
     """
     check_separability_tol("tol", tol)
     modes = minimal_entropy_modes(state)
@@ -474,7 +481,10 @@ def is_separable(state: AnyonState, tol: float = 1e-8) -> SeparabilityReport:
     sep = bool(np.all(np.abs(occ[:n] - 1.0) <= tol) and np.all(occ[n:] <= tol))
     rank: int | None = None
     if n == 2:
-        rank = slater_decompose(state, rank_tol=float(np.sqrt(tol))).rank
+        dec = slater_decompose(state, rank_tol=float(np.sqrt(tol)))
+        rank = dec.rank
         if (rank == 1) != sep:
-            raise InvariantBreachError(f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}")
+            if not abs(float(np.sum(dec.z[1:] ** 2)) - tol) <= SEPARABILITY_TOL_FLOOR:
+                raise InvariantBreachError(f"pair normal form (rank {rank}) disagrees with mode occupations {modes.occupations}")
+            sep = rank == 1  # a tie: the tail sum_{k>=2} z_k^2 is tol to rounding
     return SeparabilityReport(sep, modes.occupations, modes.mode_basis, modes.e_sp, rank)

@@ -288,13 +288,9 @@ def _apply_pa12(table: dict[int, complex], theta: float) -> dict[int, complex]:
     c, s = np.cos(theta), np.sin(theta)
     out: dict[int, complex] = {}
     for occ, amp in table.items():
-        local = occ & 3
-        if local == 0:
+        if (occ & 3) in (0, 3):  # |00> and |11> on modes 1-2 rotate into each other
             out[occ] = out.get(occ, 0.0) + c * amp
-            out[occ | 3] = out.get(occ | 3, 0.0) + 1j * s * amp
-        elif local == 3:
-            out[occ] = out.get(occ, 0.0) + c * amp
-            out[occ & ~3] = out.get(occ & ~3, 0.0) + 1j * s * amp
+            out[occ ^ 3] = out.get(occ ^ 3, 0.0) + 1j * s * amp
         else:
             out[occ] = out.get(occ, 0.0) + amp
     return out
